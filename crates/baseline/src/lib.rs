@@ -136,17 +136,20 @@ where
             // through the block cache. Unconditional writes keep every
             // touched block dirty and the trace shape-determined.
             let mut cache = BlockCache::new(mem, *a, m_blocks);
-            for i in 0..p {
-                if i & s == 0 {
-                    let l = i | s;
-                    let asc = i & k == 0;
-                    let (u, v) = (cache.read(i), cache.read(l));
-                    let (lo, hi) = exchange_dir_by(u, v, asc, cmp);
-                    cache.write(i, lo);
-                    cache.write(l, hi);
+            let pass = (|| {
+                for i in 0..p {
+                    if i & s == 0 {
+                        let l = i | s;
+                        let asc = i & k == 0;
+                        let (u, v) = (cache.read(i)?, cache.read(l)?);
+                        let (lo, hi) = exchange_dir_by(u, v, asc, cmp);
+                        cache.write(i, lo)?;
+                        cache.write(l, hi)?;
+                    }
                 }
-            }
-            cache.flush();
+                cache.flush()
+            })();
+            pass.expect("the in-memory arena never fails");
             levels += 1;
             s /= 2;
         }

@@ -504,16 +504,6 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
         h
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.try_load_block(h, i)
-            .unwrap_or_else(|e| panic!("AuthenticatedStore: {e}"))
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.try_store_block(h, i, blk)
-            .unwrap_or_else(|e| panic!("AuthenticatedStore: {e}"))
-    }
-
     fn io_stats(&self) -> IoStats {
         self.inner.io_stats()
     }

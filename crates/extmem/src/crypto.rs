@@ -411,15 +411,6 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
         EncryptedStore::alloc_array(self, len_elements)
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.read_block(h, i)
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.write_block(h, i, &blk);
-        self.mem.recycle(blk);
-    }
-
     fn io_stats(&self) -> IoStats {
         self.stats()
     }
@@ -436,9 +427,8 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
         self.try_read_block(h, i)
     }
 
-    /// The fallible write path rejects over-wide payloads with a typed
-    /// [`StoreError::PayloadTooWide`] instead of panicking, so retrying
-    /// wrappers and the `try_` algorithm variants can propagate it; backing
+    /// Rejects over-wide payloads with a typed
+    /// [`StoreError::PayloadTooWide`] before anything is written; backing
     /// store failures (disk errors, injected faults) propagate unchanged.
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
         if let Some(e) = blk

@@ -267,18 +267,6 @@ impl<S: BlockStore> BlockStore for FaultyStore<S> {
         self.inner.alloc_array(len_elements)
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.try_load_block(h, i).unwrap_or_else(|e| {
-            panic!("FaultyStore: {e} (use the fallible API or RetryingStore to handle faults)")
-        })
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.try_store_block(h, i, blk).unwrap_or_else(|e| {
-            panic!("FaultyStore: {e} (use the fallible API or RetryingStore to handle faults)")
-        })
-    }
-
     fn io_stats(&self) -> IoStats {
         self.inner.io_stats()
     }

@@ -421,16 +421,6 @@ impl BlockStore for FileStore {
         ArrayHandle::new_raw(start_block, len_elements, self.block_elems)
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.try_load_block(h, i)
-            .unwrap_or_else(|e| panic!("FileStore: {e}"))
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.try_store_block(h, i, blk)
-            .unwrap_or_else(|e| panic!("FileStore: {e}"))
-    }
-
     fn io_stats(&self) -> IoStats {
         self.stats
     }

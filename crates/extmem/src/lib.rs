@@ -38,17 +38,17 @@
 //! The paper's server is not merely curious — it is *untrusted*. The fault
 //! model (see the repo-root `DESIGN.md`) extends the substrate accordingly:
 //!
-//! * [`StoreError`](error::StoreError) — the typed failure vocabulary, and
-//!   the `try_*` fallible operations every [`BlockStore`] carries.
+//! * [`StoreError`](error::StoreError) — the typed failure vocabulary
+//!   returned by the `try_*` operations every [`BlockStore`] implements.
 //! * [`FaultyStore`](fault::FaultyStore) — a seeded, deterministic fault
 //!   injector: transient read failures, ciphertext corruption, stale
 //!   replays, dropped writes, at configurable per-op rates.
 //! * [`AuthenticatedStore`](auth::AuthenticatedStore) — per-block MACs plus
 //!   a client-side version table: corruption and rollback surface as
 //!   `Err(Corrupted | Stale)`, never as wrong data.
-//! * [`RetryingStore`](retry::RetryingStore) / [`run_fallible`](retry::run_fallible)
-//!   — bounded retry with backoff for transient faults, and the bridge that
-//!   runs the infallible oblivious algorithms over a fallible server.
+//! * [`RetryingStore`](retry::RetryingStore) — bounded retry with backoff
+//!   for transient faults; fatal errors are returned to the algorithm, which
+//!   stops and propagates them with `?`.
 //!
 //! ## Cost model
 //!
@@ -93,7 +93,5 @@ pub use fault::{FaultKind, FaultSpec, FaultStats, FaultyReader, FaultyStore};
 pub use file::{FileReader, FileStore, InjectedCrash};
 pub use mem::{AccessEvent, AccessOp, AccessTrace, ArrayHandle, ExtMem, IoStats};
 pub use prefetch::{PrefetchConfig, PrefetchRead, PrefetchStats, Prefetchable, PrefetchingStore};
-pub use retry::{
-    install_quiet_abort_hook, run_fallible, RetryPolicy, RetryStats, RetryingReader, RetryingStore,
-};
+pub use retry::{RetryPolicy, RetryStats, RetryingReader, RetryingStore};
 pub use store::{BackingStore, BlockStore};

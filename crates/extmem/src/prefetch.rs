@@ -783,16 +783,6 @@ impl<S: Prefetchable> BlockStore for PrefetchingStore<S> {
         self.inner.alloc_array(len_elements)
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.try_load_block(h, i)
-            .unwrap_or_else(|e| panic!("PrefetchingStore: {e}"))
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.try_store_block(h, i, blk)
-            .unwrap_or_else(|e| panic!("PrefetchingStore: {e}"))
-    }
-
     fn io_stats(&self) -> IoStats {
         self.stats
     }
@@ -942,18 +932,16 @@ mod tests {
 
     #[test]
     fn a_poisoned_mutex_is_recovered_not_cascaded() {
-        crate::retry::install_quiet_abort_hook();
         let mut store = temp_prefetching(2);
         let h = store
             .inner_mut()
             .alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>());
         // Poison the shared mutex exactly the way a crashed thread would:
-        // panic while holding the lock. (The typed `StoreAbort` payload only
-        // keeps the quiet panic hook from spamming test output.)
+        // panic while holding the lock.
         let shared = Arc::clone(&store.shared);
         let _ = std::thread::spawn(move || {
             let _g = shared.state.lock().unwrap();
-            std::panic::panic_any(crate::retry::StoreAbort(StoreError::Transient { addr: 0 }));
+            panic!("a crashed thread poisons the lock");
         })
         .join();
         assert!(store.shared.state.is_poisoned(), "setup must poison");
@@ -987,11 +975,16 @@ mod tests {
         fn alloc_array(&mut self, len: usize) -> ArrayHandle {
             self.0.alloc_array(len)
         }
-        fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-            self.0.read_block(h, i)
+        fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
+            self.0.try_load_block(h, i)
         }
-        fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-            self.0.write_block(h, i, blk);
+        fn try_store_block(
+            &mut self,
+            h: &ArrayHandle,
+            i: usize,
+            blk: Block,
+        ) -> Result<(), StoreError> {
+            self.0.try_store_block(h, i, blk)
         }
         fn io_stats(&self) -> IoStats {
             self.0.stats()

@@ -1,11 +1,9 @@
-//! Bounded retry with backoff over a fallible store, and the bridge that
-//! lets the infallible algorithms run fallibly.
+//! Bounded retry with backoff over a fallible store.
 //!
-//! The sort/compaction/selection passes are written against the infallible
-//! [`BlockStore`] operations — their obliviousness proofs are about a fixed
-//! sequence of block addresses, and threading `Result` through every
-//! comparator exchange would buy nothing. [`RetryingStore`] adapts a fallible
-//! server back to that infallible interface:
+//! The sort/compaction/selection passes are written once, against the
+//! fallible [`BlockStore`] operations, and stop at the first
+//! [`StoreError`] with `?`. [`RetryingStore`] is a plain wrapper that sits
+//! between such a pass and an unreliable server:
 //!
 //! * **Transient** failures are retried up to [`RetryPolicy::max_retries`]
 //!   times with capped exponential backoff. In the I/O model "backoff" is
@@ -15,21 +13,17 @@
 //!   schedule), never on the data — retried addresses are re-issued
 //!   verbatim, so traces stay data-independent (the fault battery asserts
 //!   this byte for byte).
-//! * **Permanent** failures (corruption, rollback, exhausted retries) abort
-//!   the enclosing pass immediately by unwinding with a typed
-//!   [`StoreAbort`] payload. [`run_fallible`] catches exactly that payload
-//!   and returns it as `Err(StoreError)`; any other panic (a genuine logic
-//!   error) is propagated unchanged. Aborting at the first fatal error is
-//!   the only sound option: tampered data could otherwise flow into the
-//!   algorithm's internal invariants and either trip an assertion or —
-//!   worse — produce a silently wrong answer.
+//! * **Permanent** failures (corruption, rollback, exhausted retries) are
+//!   returned as the `Err` of the operation, and the pass propagates them
+//!   to its caller unchanged. Stopping at the first fatal error is the only
+//!   sound option: tampered data could otherwise flow into the algorithm's
+//!   internal invariants and either trip an assertion or — worse — produce
+//!   a silently wrong answer.
 //!
-//! After an aborted pass the *contents* of the arrays touched by the
+//! After a failed pass the *contents* of the arrays touched by the
 //! algorithm are unspecified (the pass stopped mid-routing); the store
 //! itself remains usable and its I/O accounting reflects every operation
 //! actually issued.
-
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use crate::block::Block;
 use crate::error::StoreError;
@@ -90,21 +84,11 @@ pub struct RetryStats {
     pub retries: u64,
     /// Total backoff charged across all retries, in abstract time units.
     pub backoff_units: u64,
-    /// Fatal errors swallowed because the thread was already unwinding
-    /// (e.g. a cache flush racing an abort); always 0 on a clean run.
-    pub suppressed_errors: u64,
 }
 
-/// The typed unwind payload [`RetryingStore`] aborts with on a fatal
-/// [`StoreError`]. Only [`run_fallible`] should catch this; it is public so
-/// the catch works across crate boundaries.
-#[derive(Debug)]
-pub struct StoreAbort(pub StoreError);
-
-/// Adapts a fallible [`BlockStore`] back to the infallible interface the
-/// oblivious algorithms are written against: transient faults are retried
-/// per the [`RetryPolicy`], fatal faults abort the pass (see the module
-/// docs). Use via [`run_fallible`].
+/// Wraps a fallible [`BlockStore`]: transient faults are retried per the
+/// [`RetryPolicy`], fatal faults are returned to the caller (see the module
+/// docs).
 #[derive(Debug)]
 pub struct RetryingStore<'a, S: BlockStore> {
     inner: &'a mut S,
@@ -127,18 +111,6 @@ impl<'a, S: BlockStore> RetryingStore<'a, S> {
         self.stats
     }
 
-    /// Handles a fatal error: aborts the pass by unwinding with
-    /// [`StoreAbort`] — unless the thread is already unwinding (a write-back
-    /// racing an abort), in which case the error is counted and swallowed to
-    /// avoid a double panic.
-    fn fatal(&mut self, err: StoreError) -> bool {
-        if std::thread::panicking() {
-            self.stats.suppressed_errors += 1;
-            return false;
-        }
-        std::panic::panic_any(StoreAbort(err));
-    }
-
     fn note_retry(&mut self, attempt: u32) {
         self.stats.retries += 1;
         self.stats.backoff_units += self.policy.backoff_for(attempt);
@@ -154,38 +126,28 @@ impl<S: BlockStore> BlockStore for RetryingStore<'_, S> {
         self.inner.alloc_array(len_elements)
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
+    fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
         let mut attempt = 0u32;
         loop {
             match self.inner.try_load_block(h, i) {
-                Ok(blk) => return blk,
                 Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
                     attempt += 1;
                     self.note_retry(attempt);
                 }
-                Err(e) => {
-                    self.fatal(e);
-                    // Unwinding-suppressed fatal read: serve dummies; the
-                    // pass is already aborting, nothing consumes them.
-                    return Block::empty(self.inner.block_elems());
-                }
+                res => return res,
             }
         }
     }
 
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
+    fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
         let mut attempt = 0u32;
         loop {
             match self.inner.try_store_block(h, i, blk.clone()) {
-                Ok(()) => return,
                 Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
                     attempt += 1;
                     self.note_retry(attempt);
                 }
-                Err(e) => {
-                    self.fatal(e);
-                    return;
-                }
+                res => return res,
             }
         }
     }
@@ -208,8 +170,8 @@ impl<S: BlockStore> BlockStore for RetryingStore<'_, S> {
 /// the retry count is a function of the (seeded) fault schedule only, never
 /// of the data, so worker-side retries keep traces data-independent.
 /// Reader retries are not counted in the foreground [`RetryStats`] (readers
-/// share no state with the store); fatal errors are returned as values, not
-/// unwound — the prefetch protocol parks them for the foreground to surface.
+/// share no state with the store); fatal errors are returned as values —
+/// the prefetch protocol parks them for the foreground to surface.
 #[derive(Debug)]
 pub struct RetryingReader<R: PrefetchRead> {
     inner: R,
@@ -271,9 +233,7 @@ impl<S: BlockStore + Prefetchable> Prefetchable for RetryingStore<'_, S> {
 
     /// Retries the *whole run* on a transient failure — runs are re-issued
     /// verbatim (same addresses, same contents), so the retry schedule stays
-    /// data-independent. Unlike the infallible foreground ops this returns
-    /// fatal errors as values rather than unwinding: the span path is driven
-    /// by the prefetch adapter's write-behind flush, which handles `Result`s.
+    /// data-independent.
     fn store_run(&mut self, start: usize, mut blks: Vec<Block>) -> Result<(), StoreError> {
         let mut attempt = 0u32;
         loop {
@@ -300,52 +260,6 @@ impl<S: BlockStore + Prefetchable> Prefetchable for RetryingStore<'_, S> {
             }
         }
     }
-}
-
-/// Runs `f` — any algorithm written against the infallible [`BlockStore`]
-/// interface — over a fallible store, retrying transients per `policy` and
-/// converting the first fatal [`StoreError`] into an `Err` instead of a
-/// panic.
-///
-/// On `Err`, the contents of the arrays the algorithm touched are
-/// unspecified (the pass aborted mid-routing); the store itself remains
-/// usable. Panics that are not store aborts (logic errors, bad arguments)
-/// propagate unchanged.
-pub fn run_fallible<S: BlockStore, R>(
-    store: &mut S,
-    policy: RetryPolicy,
-    f: impl FnOnce(&mut RetryingStore<'_, S>) -> R,
-) -> Result<(R, RetryStats), StoreError> {
-    let mut retrying = RetryingStore::new(store, policy);
-    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut retrying)));
-    let stats = retrying.stats();
-    match outcome {
-        Ok(r) => Ok((r, stats)),
-        Err(payload) => match payload.downcast::<StoreAbort>() {
-            Ok(abort) => Err(abort.0),
-            Err(other) => resume_unwind(other),
-        },
-    }
-}
-
-/// Replaces the panic hook with one that stays silent for [`StoreAbort`]
-/// unwinds (they are control flow, caught by [`run_fallible`]) and for
-/// [`InjectedCrash`](crate::file::InjectedCrash) unwinds (deliberate
-/// simulated power-cuts, caught by the crash-consistency tests), deferring
-/// to the previous hook for everything else. Call once at binary start-up;
-/// tests don't need it because the harness captures panic output.
-pub fn install_quiet_abort_hook() {
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let payload = info.payload();
-        if payload.downcast_ref::<StoreAbort>().is_none()
-            && payload
-                .downcast_ref::<crate::file::InjectedCrash>()
-                .is_none()
-        {
-            previous(info);
-        }
-    }));
 }
 
 #[cfg(test)]
@@ -435,17 +349,11 @@ mod tests {
         fn alloc_array(&mut self, len: usize) -> ArrayHandle {
             self.mem.alloc_array(len)
         }
-        fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-            self.mem.read_block(h, i)
-        }
-        fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-            self.mem.write_block(h, i, blk);
-        }
         fn io_stats(&self) -> IoStats {
             self.mem.stats()
         }
         fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-            let blk = self.load_block(h, i);
+            let blk = self.mem.read_block(h, i);
             match self.read_errs.pop_front().flatten() {
                 Some(e) => Err(e),
                 None => Ok(blk),
@@ -460,7 +368,7 @@ mod tests {
             match self.write_errs.pop_front().flatten() {
                 Some(e) => Err(e),
                 None => {
-                    self.store_block(h, i, blk);
+                    self.mem.write_block(h, i, blk);
                     Ok(())
                 }
             }
@@ -481,13 +389,12 @@ mod tests {
             .push_back(Some(StoreError::Transient { addr: 0 }));
         s.read_errs
             .push_back(Some(StoreError::Transient { addr: 0 }));
-        let (got, stats) =
-            run_fallible(&mut s, RetryPolicy::default(), |rs| rs.load_span(&h, 0, 4)).unwrap();
-        assert_eq!(got, cells(4));
+        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
+        assert_eq!(rs.try_load_span(&h, 0, 4).unwrap(), cells(4));
+        let stats = rs.stats();
         assert_eq!(stats.retries, 2);
         // Exponential backoff: 1 + 2 units.
         assert_eq!(stats.backoff_units, 3);
-        assert_eq!(stats.suppressed_errors, 0);
         // Each attempt was a real server access (charged).
         assert_eq!(s.io_stats().reads, 3);
     }
@@ -504,7 +411,9 @@ mod tests {
             max_retries: 3,
             ..RetryPolicy::default()
         };
-        let err = run_fallible(&mut s, policy, |rs| rs.load_block(&h, 0)).unwrap_err();
+        let err = RetryingStore::new(&mut s, policy)
+            .try_load_block(&h, 0)
+            .unwrap_err();
         assert_eq!(err, StoreError::Transient { addr: 7 });
         // 1 initial attempt + 3 retries, all charged.
         assert_eq!(s.io_stats().reads, 4);
@@ -516,11 +425,9 @@ mod tests {
         let h = BlockStore::alloc_array(&mut s, 4);
         s.read_errs
             .push_back(Some(StoreError::Corrupted { addr: 2 }));
-        let err = run_fallible(&mut s, RetryPolicy::default(), |rs| {
-            rs.load_block(&h, 0);
-            unreachable!("the pass must abort at the corrupted read");
-        })
-        .unwrap_err();
+        let err = RetryingStore::new(&mut s, RetryPolicy::default())
+            .try_load_block(&h, 0)
+            .unwrap_err();
         assert_eq!(err, StoreError::Corrupted { addr: 2 });
         assert_eq!(s.io_stats().reads, 1, "no retry of a fatal error");
     }
@@ -531,21 +438,22 @@ mod tests {
         let h = BlockStore::alloc_array(&mut s, 4);
         s.write_errs
             .push_back(Some(StoreError::Transient { addr: 0 }));
-        let ((), stats) = run_fallible(&mut s, RetryPolicy::default(), |rs| {
-            rs.store_span(&h, 0, &cells(4));
-        })
-        .unwrap();
-        assert_eq!(stats.retries, 1);
+        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
+        rs.try_store_span(&h, 0, &cells(4)).unwrap();
+        assert_eq!(rs.stats().retries, 1);
         assert_eq!(s.load_span(&h, 0, 4), cells(4));
     }
 
     #[test]
     #[should_panic(expected = "a genuine logic error")]
     fn non_abort_panics_propagate_unchanged() {
+        // A panic is a bug, not a store failure: the retry layer neither
+        // catches nor converts it.
         let mut s = Scripted::new(4);
-        let _ = run_fallible(&mut s, RetryPolicy::default(), |_| {
-            panic!("a genuine logic error");
-        });
+        let h = BlockStore::alloc_array(&mut s, 8);
+        let _ =
+            RetryingStore::new(&mut s, RetryPolicy::default())
+                .try_modify_pair(&h, 0, 1, |_, _| panic!("a genuine logic error"));
     }
 
     #[test]
@@ -582,8 +490,7 @@ mod tests {
 
     #[test]
     fn fatal_span_write_errors_are_typed_values_not_unwinds() {
-        // Unlike the infallible foreground ops, the span path must hand the
-        // error back to the write-behind flusher instead of panicking.
+        // The span path hands the error back to the write-behind flusher.
         let mut s = Scripted::new(4);
         let h = BlockStore::alloc_array(&mut s, 4);
         let start = h.global_block(0);
@@ -629,8 +536,9 @@ mod tests {
         let h = BlockStore::alloc_array(&mut s, 4);
         s.read_errs
             .push_back(Some(StoreError::Transient { addr: 0 }));
-        let err =
-            run_fallible(&mut s, RetryPolicy::no_retries(), |rs| rs.load_block(&h, 0)).unwrap_err();
+        let err = RetryingStore::new(&mut s, RetryPolicy::no_retries())
+            .try_load_block(&h, 0)
+            .unwrap_err();
         assert!(err.is_transient());
     }
 }

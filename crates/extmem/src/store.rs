@@ -12,11 +12,14 @@
 //! outsourced store, with an identical address trace and identical I/O count
 //! (the encryption layer adds zero I/Os; the bench harness verifies this).
 //!
-//! The provided combinators ([`BlockStore::modify_pair`],
-//! [`BlockStore::load_span`], [`BlockStore::store_span`]) mirror the span/pair
-//! fast paths [`ExtMem`] grew for the external sort, but are expressed purely
-//! in terms of [`BlockStore::load_block`] / [`BlockStore::store_block`], so
-//! every implementor gets them — and their fixed access order — for free.
+//! Every op is fallible: [`BlockStore::try_load_block`] and
+//! [`BlockStore::try_store_block`] are the required methods, and the provided
+//! pair/span combinators ([`BlockStore::try_modify_pair`],
+//! [`BlockStore::try_load_span`], [`BlockStore::try_store_span`]) are
+//! expressed purely in terms of them, so every implementor gets them — and
+//! their fixed access order — for free. The algorithms propagate a
+//! [`StoreError`] with `?`; the un-prefixed ops are one-line shims that
+//! panic on it, for callers that treat any store failure as a bug.
 
 use crate::block::Block;
 use crate::element::Cell;
@@ -32,12 +35,6 @@ pub trait BlockStore {
 
     /// Allocates a new array of `len_elements` slots, all initially dummies.
     fn alloc_array(&mut self, len_elements: usize) -> ArrayHandle;
-
-    /// Reads local block `i` of array `h` (one I/O).
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block;
-
-    /// Writes local block `i` of array `h` (one I/O).
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block);
 
     /// Cumulative I/O counters of the underlying server.
     fn io_stats(&self) -> IoStats;
@@ -57,28 +54,23 @@ pub trait BlockStore {
     /// drops the block.
     fn recycle(&mut self, _blk: Block) {}
 
-    /// Fallible read of local block `i` of array `h` (one I/O).
+    /// Reads local block `i` of array `h` (one I/O). Untrusted or
+    /// unreliable stores ([`FaultyStore`](crate::fault::FaultyStore),
+    /// [`AuthenticatedStore`](crate::auth::AuthenticatedStore), a
+    /// [`FileStore`](crate::file::FileStore) hitting a disk error) return a
+    /// [`StoreError`] instead of wrong data.
+    fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError>;
+
+    /// Writes local block `i` of array `h` (one I/O).
+    fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError>;
+
+    /// Fused read-modify-write of the distinct block pair `(i, j)` in the
+    /// fixed order: read `i`, read `j`, write `i`, write `j` (4 I/Os). Stops
+    /// at the first failing I/O.
     ///
-    /// The default delegates to the infallible [`BlockStore::load_block`], so
-    /// reliable honest servers ([`ExtMem`],
-    /// [`EncryptedStore`](crate::crypto::EncryptedStore)) never fail. Untrusted
-    /// or unreliable wrappers ([`FaultyStore`](crate::fault::FaultyStore),
-    /// [`AuthenticatedStore`](crate::auth::AuthenticatedStore)) override this
-    /// to surface [`StoreError`]s instead of wrong data.
-    fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-        Ok(self.load_block(h, i))
-    }
-
-    /// Fallible write of local block `i` of array `h` (one I/O). Default
-    /// delegates to the infallible [`BlockStore::store_block`].
-    fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        self.store_block(h, i, blk);
-        Ok(())
-    }
-
-    /// Fallible fused read-modify-write of the distinct block pair `(i, j)`,
-    /// in the same fixed order as [`BlockStore::modify_pair`]: read `i`, read
-    /// `j`, write `i`, write `j` (4 I/Os). Stops at the first failing I/O.
+    /// Writes are unconditional — even an identity modification performs both
+    /// writes — so the server-visible trace never depends on whether the data
+    /// changed.
     fn try_modify_pair(
         &mut self,
         h: &ArrayHandle,
@@ -94,8 +86,9 @@ pub trait BlockStore {
         self.try_store_block(h, j, b)
     }
 
-    /// Fallible variant of [`BlockStore::load_span`]: same blocks, same
-    /// ascending order, stops at the first failing read.
+    /// Reads the element span `[elem_lo, elem_hi)` into a flat cell vector,
+    /// one read I/O per spanned block, blocks in ascending order. Stops at
+    /// the first failing read.
     fn try_load_span(
         &mut self,
         h: &ArrayHandle,
@@ -127,8 +120,10 @@ pub trait BlockStore {
         Ok(out)
     }
 
-    /// Fallible variant of [`BlockStore::store_span`]: same blocks, same
-    /// ascending order, stops at the first failing I/O.
+    /// Writes `cells` back to the element span starting at `elem_lo`, one
+    /// write I/O per spanned block (plus one read I/O for each boundary block
+    /// the span only partially covers), blocks in ascending order. Stops at
+    /// the first failing I/O.
     fn try_store_span(
         &mut self,
         h: &ArrayHandle,
@@ -160,12 +155,18 @@ pub trait BlockStore {
         Ok(())
     }
 
-    /// Fused read-modify-write of the distinct block pair `(i, j)` in the
-    /// fixed order: read `i`, read `j`, write `i`, write `j` (4 I/Os).
-    ///
-    /// Writes are unconditional — even an identity modification performs both
-    /// writes — so the server-visible trace never depends on whether the data
-    /// changed.
+    /// [`BlockStore::try_load_block`], panicking on a store error.
+    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
+        self.try_load_block(h, i).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`BlockStore::try_store_block`], panicking on a store error.
+    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
+        self.try_store_block(h, i, blk)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`BlockStore::try_modify_pair`], panicking on a store error.
     fn modify_pair(
         &mut self,
         h: &ArrayHandle,
@@ -173,68 +174,20 @@ pub trait BlockStore {
         j: usize,
         f: impl FnOnce(&mut Block, &mut Block),
     ) {
-        assert_ne!(i, j, "block pair must be two distinct blocks");
-        let mut a = self.load_block(h, i);
-        let mut b = self.load_block(h, j);
-        f(&mut a, &mut b);
-        self.store_block(h, i, a);
-        self.store_block(h, j, b);
+        self.try_modify_pair(h, i, j, f)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Reads the element span `[elem_lo, elem_hi)` into a flat cell vector,
-    /// one read I/O per spanned block, blocks in ascending order.
+    /// [`BlockStore::try_load_span`], panicking on a store error.
     fn load_span(&mut self, h: &ArrayHandle, elem_lo: usize, elem_hi: usize) -> Vec<Cell> {
-        assert!(
-            elem_lo <= elem_hi && elem_hi <= h.len(),
-            "span out of range"
-        );
-        if elem_lo == elem_hi {
-            return Vec::new();
-        }
-        let b = self.block_elems();
-        let blk_lo = elem_lo / b;
-        let blk_hi = (elem_hi - 1) / b;
-        if blk_hi > blk_lo {
-            let schedule: Vec<usize> = (blk_lo..=blk_hi).collect();
-            self.hint_blocks(h, &schedule);
-        }
-        let mut out = Vec::with_capacity(elem_hi - elem_lo);
-        for bi in blk_lo..=blk_hi {
-            let blk = self.load_block(h, bi);
-            let lo = elem_lo.max(bi * b) - bi * b;
-            let hi = elem_hi.min((bi + 1) * b) - bi * b;
-            out.extend_from_slice(&blk.slots()[lo..hi]);
-            self.recycle(blk);
-        }
-        out
+        self.try_load_span(h, elem_lo, elem_hi)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Writes `cells` back to the element span starting at `elem_lo`, one
-    /// write I/O per spanned block (plus one read I/O for each boundary block
-    /// the span only partially covers), blocks in ascending order.
+    /// [`BlockStore::try_store_span`], panicking on a store error.
     fn store_span(&mut self, h: &ArrayHandle, elem_lo: usize, cells: &[Cell]) {
-        let elem_hi = elem_lo + cells.len();
-        assert!(elem_hi <= h.len(), "span out of range");
-        if cells.is_empty() {
-            return;
-        }
-        let b = self.block_elems();
-        let blk_lo = elem_lo / b;
-        let blk_hi = (elem_hi - 1) / b;
-        for bi in blk_lo..=blk_hi {
-            let lo = elem_lo.max(bi * b);
-            let hi = elem_hi.min((bi + 1) * b);
-            let full = lo == bi * b && hi == (bi + 1) * b;
-            let mut blk = if full {
-                Block::empty(b)
-            } else {
-                self.load_block(h, bi)
-            };
-            for (slot, cell) in (lo - bi * b..hi - bi * b).zip(&cells[lo - elem_lo..hi - elem_lo]) {
-                blk.set(slot, *cell);
-            }
-            self.store_block(h, bi, blk);
-        }
+        self.try_store_span(h, elem_lo, cells)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -273,12 +226,13 @@ impl BlockStore for ExtMem {
         ExtMem::alloc_array(self, len_elements)
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.read_block(h, i)
+    fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
+        Ok(self.read_block(h, i))
     }
 
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
+    fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
         self.write_block(h, i, blk);
+        Ok(())
     }
 
     fn io_stats(&self) -> IoStats {
@@ -347,8 +301,8 @@ mod tests {
 
     #[test]
     fn try_defaults_delegate_to_the_infallible_ops() {
-        // On an honest reliable store the fallible path always succeeds and
-        // is operationally identical to the infallible one.
+        // ExtMem's try ops wrap its infallible inherent block ops, so on this
+        // honest reliable store the fallible path always succeeds.
         let mut mem = ExtMem::new(4);
         let h = BlockStore::alloc_array(&mut mem, 12);
         let cells: Vec<Cell> = (0..12).map(|k| Some(e(k))).collect();
@@ -368,7 +322,7 @@ mod tests {
     #[test]
     fn try_pair_trace_matches_infallible_pair_trace() {
         // The fallible pair op must leave the identical server-visible trace
-        // as the infallible one: read i, read j, write i, write j.
+        // as its panicking shim: read i, read j, write i, write j.
         let mut mem = ExtMem::with_trace(4);
         let h = BlockStore::alloc_array(&mut mem, 8);
         mem.try_modify_pair(&h, 0, 1, |_, _| {}).unwrap();

@@ -13,7 +13,6 @@
 //! on the `try_*` path, the pool keeps serving, and a plain retry reads the
 //! real data synchronously.
 
-use extmem::retry::{install_quiet_abort_hook, StoreAbort};
 use extmem::store::BlockStore;
 use extmem::{
     ArrayHandle, Block, Cell, Element, FileStore, IoStats, PrefetchConfig, PrefetchRead,
@@ -53,9 +52,7 @@ struct PanickyReader;
 
 impl PrefetchRead for PanickyReader {
     fn fetch(&mut self, addr: usize) -> Result<Block, StoreError> {
-        // The typed payload only keeps the quiet panic hook from spamming
-        // the test output; any panic exercises the same recovery path.
-        std::panic::panic_any(StoreAbort(StoreError::Transient { addr }));
+        panic!("reader bug while fetching block {addr}");
     }
 }
 
@@ -72,7 +69,6 @@ fn e(k: u64) -> Element {
 
 #[test]
 fn a_panicking_worker_surfaces_transient_errors_not_a_dead_pool() {
-    install_quiet_abort_hook();
     let mut file = FileStore::temp(2).expect("temp file");
     let h = file.alloc_array(16);
     let cells: Vec<Cell> = (0..16).map(|k| Some(e(k))).collect();

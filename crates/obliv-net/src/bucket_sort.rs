@@ -83,8 +83,8 @@ use std::fmt;
 use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
 use extmem::util::{hash64, ilog2_floor, next_pow2};
 use extmem::{
-    run_fallible, ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy,
-    RetryStats, StoreError,
+    ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy, RetryStats,
+    RetryingStore, StoreError,
 };
 
 use crate::batcher::odd_even_merge_sort_by;
@@ -308,8 +308,8 @@ pub fn merge_split<T>(
 /// Same contract as
 /// [`external_oblivious_sort`](crate::external_sort::external_oblivious_sort),
 /// with two deltas: the trace depends on `(shape, cfg.seed, data)` rather
-/// than shape alone (see the module docs), and failure is a typed
-/// [`BucketSortError`] instead of a panic.
+/// than shape alone (see the module docs), and failure — a store error
+/// included — is a typed [`BucketSortError`] instead of a panic.
 pub fn bucket_oblivious_sort<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -339,10 +339,9 @@ pub fn try_bucket_oblivious_sort<S: BlockStore>(
     cfg: &BucketSortConfig,
     policy: RetryPolicy,
 ) -> Result<(BucketSortReport, RetryStats), BucketSortError> {
-    let (inner, retries) = run_fallible(store, policy, |s| {
-        bucket_oblivious_sort(s, h, cache_elems, order, cfg)
-    })?;
-    Ok((inner?, retries))
+    let mut retrying = RetryingStore::new(store, policy);
+    let report = bucket_oblivious_sort(&mut retrying, h, cache_elems, order, cfg)?;
+    Ok((report, retrying.stats()))
 }
 
 /// Sorts array `h` with a custom total order on occupied cells.
@@ -369,7 +368,7 @@ where
     if n <= 1 {
         return Ok(BucketSortReport {
             occupied: if n == 1 {
-                usize::from(store.load_span(h, 0, n)[0].is_some())
+                usize::from(store.try_load_span(h, 0, n)?[0].is_some())
             } else {
                 0
             },
@@ -385,12 +384,12 @@ where
     if whole <= cache_elems {
         let mut budget = CacheBudget::new(cache_elems);
         budget.try_acquire(whole).map_err(BucketSortError::Store)?;
-        let cells = store.load_span(h, 0, n);
+        let cells = store.try_load_span(h, 0, n)?;
         let mut reals: Vec<Cell> = cells.iter().filter(|c| c.is_some()).copied().collect();
         let occupied = reals.len();
         odd_even_merge_sort_by(&mut reals, cmp);
         reals.resize(n, None);
-        store.store_span(h, 0, &reals);
+        store.try_store_span(h, 0, &reals)?;
         budget.release(whole);
         return Ok(BucketSortReport {
             io: store.io_stats() - start,
@@ -438,21 +437,36 @@ where
                     in_cache: false,
                 });
             }
-            // Tail events of the random assignment: re-roll the seed. Every
-            // other error (tampering, invalid shapes, …) propagates.
-            Err(e)
-                if matches!(
-                    e,
-                    BucketSortError::Overflow { .. }
-                        | BucketSortError::Store(StoreError::BudgetExceeded { .. })
-                ) =>
-            {
-                last_tail_error = Some(e);
-            }
-            Err(e) => return Err(e),
+            Err(Stop::Tail(e)) => last_tail_error = Some(e),
+            Err(Stop::Store(e)) => return Err(e.into()),
         }
     }
     Err(last_tail_error.expect("at least one routing attempt ran"))
+}
+
+/// Why an external-path attempt stopped.
+enum Stop {
+    /// A tail event of the random assignment — a bucket overflow or a
+    /// freak-skew exhaustion of the client's own cache budget: re-roll the
+    /// seed.
+    Tail(BucketSortError),
+    /// The store failed (tampering, exhausted retries, the store's own
+    /// budget): give up.
+    Store(StoreError),
+}
+
+impl From<StoreError> for Stop {
+    fn from(e: StoreError) -> Self {
+        Stop::Store(e)
+    }
+}
+
+/// Claims `slots` of the attempt's private cache; running out is a tail
+/// event.
+fn claim(budget: &mut CacheBudget, slots: usize) -> Result<(), Stop> {
+    budget
+        .try_acquire(slots)
+        .map_err(|e| Stop::Tail(BucketSortError::Store(e)))
 }
 
 /// One full external-path attempt under `layout.seed`: distribute, route,
@@ -463,14 +477,15 @@ where
 /// before its first write and cannot fail (fan-in is planned to fit `M`).
 /// Every data-dependent failure — routing overflow, freak-skew budget
 /// exhaustion — therefore happens while `h` is still intact, so the caller
-/// may re-roll the seed and run the attempt again.
+/// may re-roll the seed and run the attempt again. A store error ends the
+/// sort.
 fn run_external<S, F>(
     store: &mut S,
     h: &ArrayHandle,
     cache_elems: usize,
     layout: &Layout,
     ecmp: &F,
-) -> Result<(usize, usize, usize), BucketSortError>
+) -> Result<(usize, usize, usize), Stop>
 where
     S: BlockStore,
     F: Fn(&Element, &Element) -> Ordering,
@@ -706,14 +721,12 @@ impl GroupCharge {
         }
     }
 
-    fn add(&mut self, budget: &mut CacheBudget, items: usize) -> Result<(), BucketSortError> {
-        budget.try_acquire(items).map_err(BucketSortError::Store)?;
+    fn add(&mut self, budget: &mut CacheBudget, items: usize) -> Result<(), Stop> {
+        claim(budget, items)?;
         self.items += items;
         let want = self.items.div_ceil(4);
         if want > self.tag_slots {
-            budget
-                .try_acquire(want - self.tag_slots)
-                .map_err(BucketSortError::Store)?;
+            claim(budget, want - self.tag_slots)?;
             self.tag_slots = want;
         }
         Ok(())
@@ -742,7 +755,7 @@ fn distribute_group<S: BlockStore>(
     layout: &Layout,
     gidx: usize,
     budget: &mut CacheBudget,
-) -> Result<usize, BucketSortError> {
+) -> Result<usize, Stop> {
     let b = layout.b;
     let grp = 1usize << layout.width(0);
     let base = layout.group_base(0, gidx);
@@ -760,8 +773,8 @@ fn distribute_group<S: BlockStore>(
         let schedule: Vec<usize> = (pos_lo / b..=(pos_hi - 1) / b).collect();
         store.hint_blocks(input, &schedule);
         for bi in pos_lo / b..=(pos_hi - 1) / b {
-            budget.try_acquire(b).map_err(BucketSortError::Store)?;
-            let blk = store.load_block(input, bi);
+            claim(budget, b)?;
+            let blk = store.try_load_block(input, bi)?;
             let mut pushed = 0usize;
             for pos in pos_lo.max(bi * b)..pos_hi.min((bi + 1) * b) {
                 if let Some(item) = blk.get(pos - bi * b) {
@@ -800,7 +813,7 @@ fn route_group<S: BlockStore>(
     s: usize,
     gidx: usize,
     budget: &mut CacheBudget,
-) -> Result<(), BucketSortError> {
+) -> Result<(), Stop> {
     let base = layout.group_base(s, gidx);
     let mut charge = GroupCharge::new();
     let mut buckets = load_group(store, scratch, layout, s, base, budget, &mut charge)?;
@@ -834,7 +847,7 @@ fn finish_group<S, F>(
     first_block: usize,
     budget: &mut CacheBudget,
     ecmp: &F,
-) -> Result<RunMeta, BucketSortError>
+) -> Result<RunMeta, Stop>
 where
     S: BlockStore,
     F: Fn(&Element, &Element) -> Ordering,
@@ -856,7 +869,7 @@ where
     }
     odd_even_merge_sort_by(&mut reals, ecmp);
 
-    budget.try_acquire(b).map_err(BucketSortError::Store)?;
+    claim(budget, b)?;
     let mut it = reals.iter().copied();
     for t in 0..reals.len().div_ceil(b) {
         let mut blk = Block::empty(b);
@@ -866,7 +879,7 @@ where
                 None => break,
             }
         }
-        store.store_block(run_scratch, first_block + t, blk);
+        store.try_store_block(run_scratch, first_block + t, blk)?;
     }
     budget.release(b);
 
@@ -889,7 +902,7 @@ fn load_group<S: BlockStore>(
     base: usize,
     budget: &mut CacheBudget,
     charge: &mut GroupCharge,
-) -> Result<Vec<TaggedBucket>, BucketSortError> {
+) -> Result<Vec<TaggedBucket>, Stop> {
     let b = layout.b;
     let z = layout.z;
     let grp = 1usize << layout.width(s);
@@ -912,8 +925,8 @@ fn load_group<S: BlockStore>(
         let first_block = bucket_id * z / b;
         let mut v: TaggedBucket = Vec::new();
         for t in 0..z / b {
-            budget.try_acquire(b).map_err(BucketSortError::Store)?;
-            let blk = store.load_block(scratch, first_block + t);
+            claim(budget, b)?;
+            let blk = store.try_load_block(scratch, first_block + t)?;
             let mut pushed = 0usize;
             for (slot, cell) in blk.slots().iter().enumerate() {
                 if let Some(item) = cell {
@@ -939,7 +952,7 @@ fn route_buckets(
     layout: &Layout,
     s: usize,
     base: usize,
-) -> Result<(), BucketSortError> {
+) -> Result<(), Stop> {
     let stride = layout.stride(s);
     let g = buckets.len().trailing_zeros() as usize;
     for t in 0..g {
@@ -951,14 +964,15 @@ fn route_buckets(
             let k = j | bit;
             let a = std::mem::take(&mut buckets[j]);
             let c = std::mem::take(&mut buckets[k]);
-            let (lo, hi) =
-                merge_split(a, c, t as u32, layout.z).map_err(|e| BucketSortError::Overflow {
+            let (lo, hi) = merge_split(a, c, t as u32, layout.z).map_err(|e| {
+                Stop::Tail(BucketSortError::Overflow {
                     superlevel: s,
                     level: t,
                     bucket: base + if e.side == 0 { j } else { k } * stride,
                     size: e.size,
                     capacity: e.capacity,
-                })?;
+                })
+            })?;
             buckets[j] = lo;
             buckets[k] = hi;
         }
@@ -978,7 +992,7 @@ fn write_group<S: BlockStore>(
     base: usize,
     budget: &mut CacheBudget,
     charge: &mut GroupCharge,
-) -> Result<(), BucketSortError> {
+) -> Result<(), Stop> {
     let b = layout.b;
     let z = layout.z;
     let stride = layout.stride(s);
@@ -986,7 +1000,7 @@ fn write_group<S: BlockStore>(
         let bucket_id = base + m * stride;
         let first_block = bucket_id * z / b;
         let len = bucket.len();
-        budget.try_acquire(b).map_err(BucketSortError::Store)?;
+        claim(budget, b)?;
         let mut it = bucket.drain(..);
         for t in 0..z / b {
             let mut blk = Block::empty(b);
@@ -996,7 +1010,7 @@ fn write_group<S: BlockStore>(
                     None => break,
                 }
             }
-            store.store_block(scratch, first_block + t, blk);
+            store.try_store_block(scratch, first_block + t, blk)?;
         }
         drop(it);
         budget.release(b);
@@ -1021,7 +1035,7 @@ fn merge_runs<S, F>(
     pad_to: Option<usize>,
     budget: &mut CacheBudget,
     ecmp: &F,
-) -> Result<usize, BucketSortError>
+) -> Result<usize, Stop>
 where
     S: BlockStore,
     F: Fn(&Element, &Element) -> Ordering,
@@ -1036,7 +1050,7 @@ where
     // One resident block per input run, one output block, two bookkeeping
     // slots per run for the cursor — this is what bounds the fan-in at M/B.
     let charge = runs.len() * (b + 2) + b;
-    budget.try_acquire(charge).map_err(BucketSortError::Store)?;
+    claim(budget, charge)?;
 
     let mut cursors: Vec<Cursor> = runs
         .iter()
@@ -1065,7 +1079,7 @@ where
     store.hint_blocks(src, &heads);
     for c in cursors.iter_mut() {
         if c.remaining > 0 {
-            c.buf = store.load_block(src, c.block);
+            c.buf = store.try_load_block(src, c.block)?;
         }
     }
 
@@ -1092,7 +1106,7 @@ where
         out.set(out_slot, Some(item));
         out_slot += 1;
         if out_slot == b {
-            store.store_block(dst, out_block, out);
+            store.try_store_block(dst, out_block, out)?;
             out = Block::empty(b);
             out_slot = 0;
             out_block += 1;
@@ -1103,7 +1117,7 @@ where
         c.remaining -= 1;
         if c.slot == b && c.remaining > 0 {
             c.block += 1;
-            c.buf = store.load_block(src, c.block);
+            c.buf = store.try_load_block(src, c.block)?;
             c.slot = 0;
             // Slide the window: the initial hints covered the first
             // MERGE_LOOKAHEAD blocks of the run, so each advance exposes
@@ -1120,14 +1134,14 @@ where
             // past `written` stay dummies.
             let total_blocks = dst_first_block + n.div_ceil(b);
             while out_block < total_blocks {
-                store.store_block(dst, out_block, out);
+                store.try_store_block(dst, out_block, out)?;
                 out = Block::empty(b);
                 out_block += 1;
             }
         }
         None => {
             if out_slot > 0 {
-                store.store_block(dst, out_block, out);
+                store.try_store_block(dst, out_block, out)?;
             }
         }
     }

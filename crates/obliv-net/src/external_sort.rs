@@ -29,7 +29,7 @@
 //!    (`B | s`) touches each block in exactly one block pair `(β, β + s/B)`.
 //!    All `B` element compare-exchanges that touch that pair are fused into
 //!    a single read-modify-write round trip via
-//!    [`BlockStore::modify_pair`]: 2 reads + 2 writes per pair, i.e.
+//!    [`BlockStore::try_modify_pair`]: 2 reads + 2 writes per pair, i.e.
 //!    `2·(N/B)` I/Os for the whole level — never one round trip per element.
 //!    Non-aligned strides (only possible when `B` is not a power of two)
 //!    fall back to an LRU [`BlockCache`] sweep with the same `2·(N/B)`
@@ -62,8 +62,8 @@ use crate::bitonic::{bitonic_merge_pow2_by, bitonic_sort_pow2_by};
 use crate::compare::exchange_dir_by;
 use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
 use extmem::{
-    run_fallible, ArrayHandle, BlockCache, BlockStore, CacheBudget, IoStats, RetryPolicy,
-    RetryStats, StoreError,
+    ArrayHandle, BlockCache, BlockStore, CacheBudget, IoStats, RetryPolicy, RetryStats,
+    RetryingStore, StoreError,
 };
 use std::cmp::Ordering;
 
@@ -103,13 +103,23 @@ pub struct SortReport {
 /// harness asserts the zero-extra-I/O property at every grid point).
 ///
 /// # Panics
-/// Panics if `cache_elems < 2·B` (the paper's minimal `M ≥ 2B` regime).
+/// Panics if `cache_elems < 2·B` (the paper's minimal `M ≥ 2B` regime), or
+/// on a store error ([`try_external_oblivious_sort`] returns it instead).
 pub fn external_oblivious_sort<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
     cache_elems: usize,
     order: SortOrder,
 ) -> SortReport {
+    sort_in_order(store, h, cache_elems, order).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn sort_in_order<S: BlockStore>(
+    store: &mut S,
+    h: &ArrayHandle,
+    cache_elems: usize,
+    order: SortOrder,
+) -> Result<SortReport, StoreError> {
     match order {
         SortOrder::Ascending => {
             external_oblivious_sort_by(store, h, cache_elems, &cell_cmp_none_last)
@@ -124,7 +134,7 @@ pub fn external_oblivious_sort<S: BlockStore>(
 /// servers: transient faults are retried per `policy` (the retry schedule
 /// depends only on the server's fault schedule, never on the data, so traces
 /// stay data-independent), and the first permanent [`StoreError`] — a
-/// corrupted block, a rollback, exhausted retries — aborts the pass and is
+/// corrupted block, a rollback, exhausted retries — stops the pass and is
 /// returned instead of panicking or producing wrong output.
 ///
 /// On `Err` the contents of `h` (and of the scratch array, for non-power-of-
@@ -137,23 +147,28 @@ pub fn try_external_oblivious_sort<S: BlockStore>(
     order: SortOrder,
     policy: RetryPolicy,
 ) -> Result<(SortReport, RetryStats), StoreError> {
-    run_fallible(store, policy, |s| {
-        external_oblivious_sort(s, h, cache_elems, order)
-    })
+    let mut retrying = RetryingStore::new(store, policy);
+    let report = sort_in_order(&mut retrying, h, cache_elems, order)?;
+    Ok((report, retrying.stats()))
 }
 
-/// Sorts array `h` with a custom total order on cells.
+/// Sorts array `h` with a custom total order on cells: the body behind
+/// every entry point above. Store errors stop the pass and are returned
+/// unchanged; nothing is retried.
 ///
 /// When `h.len()` is not a power of two the sort pads into a scratch array
 /// whose extra slots are dummies; `cmp` must therefore order every dummy
 /// (`None`) cell after every occupied cell, or elements may be truncated on
 /// copy-back. Power-of-two lengths accept any total order.
+///
+/// # Panics
+/// Panics if `cache_elems < 2·B`.
 pub fn external_oblivious_sort_by<S, F>(
     store: &mut S,
     h: &ArrayHandle,
     cache_elems: usize,
     cmp: &F,
-) -> SortReport
+) -> Result<SortReport, StoreError>
 where
     S: BlockStore,
     F: Fn(&Cell, &Cell) -> Ordering,
@@ -166,41 +181,46 @@ where
     let start = store.io_stats();
     let n = h.len();
     if n <= 1 {
-        return SortReport {
+        return Ok(SortReport {
             io: store.io_stats() - start,
             region_elems: n.max(1),
             presort_regions: 0,
             external_levels: 0,
             finish_passes: 0,
             padded: false,
-        };
+        });
     }
     let p = n.next_power_of_two();
     let mut report = if p == n {
-        sort_pow2(store, h, cache_elems, cmp)
+        sort_pow2(store, h, cache_elems, cmp)?
     } else {
         // Pad into a fresh power-of-two scratch array (its tail slots are
         // dummies), sort, and stream the first ⌈n/B⌉ blocks back. The extra
         // cost is O(N/B) and the whole detour is shape-determined.
         let scratch = store.alloc_array(p);
         for i in 0..h.n_blocks() {
-            let blk = store.load_block(h, i);
-            store.store_block(&scratch, i, blk);
+            let blk = store.try_load_block(h, i)?;
+            store.try_store_block(&scratch, i, blk)?;
         }
-        let mut r = sort_pow2(store, &scratch, cache_elems, cmp);
+        let mut r = sort_pow2(store, &scratch, cache_elems, cmp)?;
         for i in 0..h.n_blocks() {
-            let blk = store.load_block(&scratch, i);
-            store.store_block(h, i, blk);
+            let blk = store.try_load_block(&scratch, i)?;
+            store.try_store_block(h, i, blk)?;
         }
         r.padded = true;
         r
     };
     report.io = store.io_stats() - start;
-    report
+    Ok(report)
 }
 
 /// Core sorter for an array of exactly `p` (a power of two ≥ 2) slots.
-fn sort_pow2<S, F>(store: &mut S, a: &ArrayHandle, cache_elems: usize, cmp: &F) -> SortReport
+fn sort_pow2<S, F>(
+    store: &mut S,
+    a: &ArrayHandle,
+    cache_elems: usize,
+    cmp: &F,
+) -> Result<SortReport, StoreError>
 where
     S: BlockStore,
     F: Fn(&Cell, &Cell) -> Ordering,
@@ -225,7 +245,7 @@ where
     for g in 0..p / f0 {
         in_cache_pass(store, a, &mut budget, g * f0, f0, |cells| {
             bitonic_sort_pow2_by(cells, g % 2 == 0, cmp);
-        });
+        })?;
     }
 
     // Phase 2 — merge stages k = 2·f0 … p. External strided levels first,
@@ -235,7 +255,7 @@ where
     while k <= p {
         let mut s = k / 2;
         while s >= f0 {
-            external_level(store, a, &mut budget, cache_elems, s, k, cmp);
+            external_level(store, a, &mut budget, cache_elems, s, k, cmp)?;
             report.external_levels += 1;
             s /= 2;
         }
@@ -244,12 +264,12 @@ where
             let asc = lo & k == 0;
             in_cache_pass(store, a, &mut budget, lo, f0, |cells| {
                 bitonic_merge_pow2_by(cells, asc, cmp);
-            });
+            })?;
         }
         report.finish_passes += 1;
         k *= 2;
     }
-    report
+    Ok(report)
 }
 
 /// One external compare-exchange level: stride `s`, stage `k`.
@@ -261,7 +281,8 @@ fn external_level<S, F>(
     s: usize,
     k: usize,
     cmp: &F,
-) where
+) -> Result<(), StoreError>
+where
     S: BlockStore,
     F: Fn(&Cell, &Cell) -> Ordering,
 {
@@ -291,14 +312,14 @@ fn external_level<S, F>(
                 let partner = beta + s / b;
                 let asc = base & k == 0;
                 budget.with(2 * b, |_| {
-                    store.modify_pair(a, beta, partner, |x, y| {
+                    store.try_modify_pair(a, beta, partner, |x, y| {
                         for j in 0..b {
                             let (lo, hi) = exchange_dir_by(x.get(j), y.get(j), asc, cmp);
                             x.set(j, lo);
                             y.set(j, hi);
                         }
-                    });
-                });
+                    })
+                })?;
             }
         }
     } else {
@@ -317,14 +338,16 @@ fn external_level<S, F>(
                 if i & s == 0 {
                     let l = i | s;
                     let asc = i & k == 0;
-                    let (u, v) = (cache.read(i), cache.read(l));
+                    let (u, v) = (cache.read(i)?, cache.read(l)?);
                     let (lo, hi) = exchange_dir_by(u, v, asc, cmp);
-                    cache.write(i, lo);
-                    cache.write(l, hi);
+                    cache.write(i, lo)?;
+                    cache.write(l, hi)?;
                 }
             }
-        });
+            cache.flush()
+        })?;
     }
+    Ok(())
 }
 
 /// Loads the aligned region `[lo, lo + f)` into the private cache, applies
@@ -336,13 +359,13 @@ fn in_cache_pass<S: BlockStore>(
     lo: usize,
     f: usize,
     work: impl FnOnce(&mut [Cell]),
-) {
+) -> Result<(), StoreError> {
     let b = a.block_elems();
     budget.with(span_blocks(f, b) * b, |_| {
-        let mut cells = store.load_span(a, lo, lo + f);
+        let mut cells = store.try_load_span(a, lo, lo + f)?;
         work(&mut cells);
-        store.store_span(a, lo, &cells);
-    });
+        store.try_store_span(a, lo, &cells)
+    })
 }
 
 /// Largest power-of-two region size `F ≤ p` whose worst-case block span is

@@ -12,9 +12,6 @@
 //!   length, the workhorse in-cache oblivious sort.
 //! * [`bitonic`] — Batcher's bitonic sorter for power-of-two slices; its
 //!   stride structure is what the external-memory sort exploits.
-//! * [`shellsort`] — Goodrich's randomized Shellsort (SODA 2010), cited as
-//!   related work in the paper; provided as a practical randomized
-//!   alternative and exercised by the benches.
 //! * [`butterfly`] — the butterfly-like routing network of the paper's
 //!   Section 3 (Figure 1), in its in-memory circuit form, plus an ASCII
 //!   renderer that regenerates Figure 1.
@@ -43,7 +40,6 @@ pub mod butterfly;
 pub mod compare;
 pub mod external_sort;
 pub mod network;
-pub mod shellsort;
 
 pub use batcher::odd_even_merge_sort;
 pub use bitonic::{bitonic_merge_pow2_by, bitonic_network, bitonic_sort_pow2};
@@ -56,7 +52,6 @@ pub use external_sort::{
     SortReport,
 };
 pub use network::{Comparator, Network};
-pub use shellsort::randomized_shellsort;
 
 /// Announces the strictly sequential block-read schedule `[lo, hi)` of
 /// array `h` in one [`hint_blocks`](extmem::BlockStore::hint_blocks) call,

@@ -75,8 +75,8 @@
 use crate::error::OdoError;
 use extmem::element::Cell;
 use extmem::{
-    run_fallible, ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy,
-    RetryStats,
+    ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy, RetryStats,
+    RetryingStore,
 };
 use obliv_net::butterfly;
 
@@ -114,18 +114,18 @@ pub struct CompactReport {
 /// `(N, B, M)` — see the module documentation.
 ///
 /// # Panics
-/// Panics if `cache_elems < 8·B`, or if the array does not fit in cache and
-/// `B` is not a power of two. The fallible path ([`try_compact`]) reports
-/// the same conditions as [`OdoError::InvalidArgument`] instead.
+/// Panics if `cache_elems < 8·B`, if the array does not fit in cache and
+/// `B` is not a power of two, or on a store error. The fallible path
+/// ([`try_compact`]) returns these as an [`OdoError`] instead.
 pub fn compact<S: BlockStore>(store: &mut S, h: &ArrayHandle, cache_elems: usize) -> CompactReport {
-    run(store, h, cache_elems, None).unwrap_or_else(|e| panic!("{e}"))
+    route(store, h, cache_elems, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible variant of [`compact`] for untrusted/unreliable servers:
 /// transient faults are retried per `policy` (the retry schedule depends
 /// only on the server's fault schedule, never on the data), and the first
 /// permanent [`StoreError`](extmem::StoreError) — a corrupted block, a
-/// rollback, exhausted retries — aborts the pass and is returned as a typed
+/// rollback, exhausted retries — stops the pass and is returned as a typed
 /// [`OdoError`] instead of panicking or compacting tampered data. Argument
 /// validation (cache too small, non-power-of-two blocks) also returns
 /// [`OdoError::InvalidArgument`] here, where the infallible [`compact`]
@@ -141,9 +141,9 @@ pub fn try_compact<S: BlockStore>(
     cache_elems: usize,
     policy: RetryPolicy,
 ) -> Result<(CompactReport, RetryStats), OdoError> {
-    let (inner, retries) =
-        run_fallible(store, policy, |s| run(s, h, cache_elems, None)).map_err(OdoError::from)?;
-    Ok((inner?, retries))
+    let mut retrying = RetryingStore::new(store, policy);
+    let report = route(&mut retrying, h, cache_elems, None)?;
+    Ok((report, retrying.stats()))
 }
 
 /// Alias of [`compact`] emphasizing the §3 guarantee: compaction through the
@@ -169,16 +169,16 @@ pub fn compact_order_preserving<S: BlockStore>(
 ///
 /// # Panics
 /// Panics on malformed targets, on a prefix/occupancy mismatch, if
-/// `cache_elems < 8·B`, or if the array does not fit in cache and `B` is not
-/// a power of two. The fallible path ([`try_expand`]) reports the same
-/// conditions as [`OdoError::InvalidArgument`] instead.
+/// `cache_elems < 8·B`, if the array does not fit in cache and `B` is not
+/// a power of two, or on a store error. The fallible path ([`try_expand`])
+/// returns these as an [`OdoError`] instead.
 pub fn expand<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
     targets: &[usize],
     cache_elems: usize,
 ) -> CompactReport {
-    run(store, h, cache_elems, Some(targets)).unwrap_or_else(|e| panic!("{e}"))
+    route(store, h, cache_elems, Some(targets)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible variant of [`expand`], mirroring [`try_compact`]: transient
@@ -197,17 +197,19 @@ pub fn try_expand<S: BlockStore>(
     cache_elems: usize,
     policy: RetryPolicy,
 ) -> Result<(CompactReport, RetryStats), OdoError> {
-    let (inner, retries) = run_fallible(store, policy, |s| run(s, h, cache_elems, Some(targets)))
-        .map_err(OdoError::from)?;
-    Ok((inner?, retries))
+    let mut retrying = RetryingStore::new(store, policy);
+    let report = route(&mut retrying, h, cache_elems, Some(targets))?;
+    Ok((report, retrying.stats()))
 }
 
-/// Shared driver: `targets == None` compacts leftward, `Some` expands
-/// rightward. All validation returns [`OdoError::InvalidArgument`] and every
-/// self-inconsistent routing state returns [`OdoError::CorruptedRouting`];
-/// the infallible façades panic with the error's `Display`, which preserves
-/// the historical assert messages.
-fn run<S: BlockStore>(
+/// The body behind every entry point above: `targets == None` compacts
+/// leftward, `Some` expands rightward. All validation returns
+/// [`OdoError::InvalidArgument`], every self-inconsistent routing state
+/// returns [`OdoError::CorruptedRouting`], and a store error stops the pass
+/// and is returned as [`OdoError::Store`] — nothing is retried. The
+/// infallible façades panic with the error's `Display`, which preserves the
+/// historical assert messages.
+pub fn route<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
     cache_elems: usize,
@@ -249,12 +251,12 @@ fn run<S: BlockStore>(
     // one write pass — the fully collapsed form of the window sweep.
     if n <= cache_elems {
         let occupied = budget.with(n.max(1), |_| -> Result<usize, OdoError> {
-            let mut cells = store.load_span(h, 0, n);
+            let mut cells = store.try_load_span(h, 0, n)?;
             let occupied = match targets {
                 None => pack_prefix_in_place(&mut cells),
                 Some(t) => route_to_targets_in_place(&mut cells, t)?,
             };
-            store.store_span(h, 0, &cells);
+            store.try_store_span(h, 0, &cells)?;
             Ok(occupied)
         })?;
         return Ok(CompactReport {
@@ -390,7 +392,7 @@ fn write_labels<S: BlockStore>(
     store.hint_blocks(data, &schedule);
     for beta in 0..data.n_blocks() {
         budget.with(2 * b, |_| -> Result<(), OdoError> {
-            let blk = store.load_block(data, beta);
+            let blk = store.try_load_block(data, beta)?;
             let mut lab = Block::empty(b);
             for r in 0..b {
                 let j = beta * b + r;
@@ -423,7 +425,7 @@ fn write_labels<S: BlockStore>(
                     }
                 }
             }
-            store.store_block(dist, beta, lab);
+            store.try_store_block(dist, beta, lab)?;
             Ok(())
         })?;
     }
@@ -461,8 +463,8 @@ fn window_pass<S: BlockStore>(
         // Working set: the two spans plus up to a window's worth of carried
         // items in each direction (2 slots per in-flight item).
         budget.acquire(2 * len + 4 * w);
-        let mut cells = store.load_span(data, lo, hi);
-        let mut dists = store.load_span(dist, lo, hi);
+        let mut cells = store.try_load_span(data, lo, hi)?;
+        let mut dists = store.try_load_span(dist, lo, hi)?;
         let scan: Box<dyn Iterator<Item = usize>> = match dir {
             Direction::Left => Box::new(0..len),
             Direction::Right => Box::new((0..len).rev()),
@@ -513,8 +515,8 @@ fn window_pass<S: BlockStore>(
             place(&mut cells, &mut dists, target - lo, lo, item, nd)?;
         }
         carry = outgoing;
-        store.store_span(data, lo, &cells);
-        store.store_span(dist, lo, &dists);
+        store.try_store_span(data, lo, &cells)?;
+        store.try_store_span(dist, lo, &dists)?;
         budget.release(2 * len + 4 * w);
     }
     if let Some(&(target, _, _)) = carry.first() {
@@ -585,12 +587,12 @@ fn external_level<S: BlockStore>(
             store.hint_blocks(data, &[nxt, nxt + k]);
         }
         // Offsets hopping across this pair; B bits of private scratch. The
-        // collision check runs inside the `modify_pair` closure, so a
+        // collision check runs inside the `try_modify_pair` closure, so a
         // conflict is recorded here and surfaced after the round trip.
         let mut mask = vec![false; b];
         let mut collision: Option<usize> = None;
         budget.with(2 * b, |_| {
-            store.modify_pair(dist, beta, beta + k, |lo_blk, hi_blk| {
+            store.try_modify_pair(dist, beta, beta + k, |lo_blk, hi_blk| {
                 for (r, hop) in mask.iter_mut().enumerate() {
                     let (src, dst) = match dir {
                         Direction::Left => (hi_blk.get(r), lo_blk.get(r)),
@@ -621,8 +623,8 @@ fn external_level<S: BlockStore>(
                         }
                     }
                 }
-            });
-        });
+            })
+        })?;
         if let Some(cell) = collision {
             return Err(OdoError::CorruptedRouting {
                 reason: "butterfly routing collision at an external level",
@@ -630,7 +632,7 @@ fn external_level<S: BlockStore>(
             });
         }
         budget.with(2 * b, |_| {
-            store.modify_pair(data, beta, beta + k, |lo_blk, hi_blk| {
+            store.try_modify_pair(data, beta, beta + k, |lo_blk, hi_blk| {
                 for (r, hop) in mask.iter().enumerate() {
                     if *hop {
                         match dir {
@@ -647,8 +649,8 @@ fn external_level<S: BlockStore>(
                         }
                     }
                 }
-            });
-        });
+            })
+        })?;
     }
     Ok(())
 }

@@ -2,7 +2,7 @@
 //!
 //! The three `try_` entry points — `try_sort`, [`try_compact`] and
 //! [`try_select_kth`] — run the paper's algorithms against an untrusted or
-//! unreliable server and propagate a typed [`OdoError`] instead of
+//! unreliable server and return a typed [`OdoError`] instead of
 //! panicking mid-pass: transient faults are retried by the policy, while
 //! tampering detected by
 //! [`AuthenticatedStore`](extmem::auth::AuthenticatedStore) surfaces as

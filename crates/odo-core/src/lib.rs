@@ -26,10 +26,14 @@
 //! — compaction, selection, and sorting — all run end to end over plaintext
 //! and re-encrypting outsourced stores.
 //!
-//! The server is *untrusted*, not merely curious, so every primitive also
-//! has a fallible form for unreliable/tampering servers: [`try_sort`],
-//! [`compact::try_compact`] and [`select::try_select_kth`] retry transient
-//! faults per an [`extmem::RetryPolicy`] and propagate a typed [`OdoError`]
+//! The server is *untrusted*, not merely curious, so every primitive is
+//! written once, as a body that propagates the store's
+//! [`StoreError`] with `?`. Each entry point is a thin
+//! wrapper around that body: the plain form (`compact`, `select_kth`, …)
+//! runs it on the bare store and panics on `Err`, while the `try_` form
+//! ([`try_sort`], [`compact::try_compact`], [`select::try_select_kth`])
+//! wraps the store in an [`extmem::RetryingStore`] that retries transient
+//! faults per an [`extmem::RetryPolicy`], and returns a typed [`OdoError`]
 //! — over an [`extmem::AuthenticatedStore`], corruption and rollback surface
 //! as `Err(Corrupted | Stale)`, never as silently wrong output. See the
 //! repo-root `DESIGN.md` for the fault model.
@@ -56,9 +60,8 @@ pub use extmem::{
 };
 pub use obliv_net::{
     bitonic_sort_pow2, bucket_oblivious_sort, external_oblivious_sort, external_oblivious_sort_by,
-    odd_even_merge_sort, randomized_shellsort, try_bucket_oblivious_sort,
-    try_external_oblivious_sort, BucketSortConfig, BucketSortError, BucketSortReport, Comparator,
-    Network, SortOrder, SortReport,
+    odd_even_merge_sort, try_bucket_oblivious_sort, try_external_oblivious_sort, BucketSortConfig,
+    BucketSortError, BucketSortReport, Comparator, Network, SortOrder, SortReport,
 };
 pub use select::{
     quantiles, quantiles_with, select_kth, select_kth_with, try_select_kth, SelectReport,
@@ -78,9 +81,8 @@ pub mod prelude {
     pub use crate::sorter::{OblivSorter, SortEngine, SorterReport};
     pub use crate::{sort_with, try_sort};
     pub use extmem::{
-        install_quiet_abort_hook, AuthenticatedStore, BlockStore, Cell, Config, Element,
-        EncryptedStore, ExtMem, FaultSpec, FaultyStore, FileStore, IoStats, PrefetchingStore,
-        RetryPolicy, RetryStats, StoreError,
+        AuthenticatedStore, BlockStore, Cell, Config, Element, EncryptedStore, ExtMem, FaultSpec,
+        FaultyStore, FileStore, IoStats, PrefetchingStore, RetryPolicy, RetryStats, StoreError,
     };
     pub use obliv_net::BucketSortConfig;
     pub use obliv_net::{

@@ -83,8 +83,8 @@ use crate::error::OdoError;
 use crate::sorter::OblivSorter;
 use extmem::element::{cell_cmp_none_last, Cell};
 use extmem::{
-    run_fallible, ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy,
-    RetryStats,
+    ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy, RetryStats,
+    RetryingStore, StoreError,
 };
 
 /// Number of weighted samples each chunk contributes per pruning round.
@@ -126,10 +126,10 @@ pub struct SelectReport {
 /// nor `k` influence the trace. The input array is left unmodified.
 ///
 /// # Panics
-/// Panics if `k` is not smaller than the number of occupied cells, and — when
-/// the array does not fit in cache — if `cache_elems < max(8·B, 32)` or `B`
-/// is not a power of two (the §3 compaction requirements plus two full sample
-/// strides per chunk).
+/// Panics if `k` is not smaller than the number of occupied cells, on a
+/// store error, and — when the array does not fit in cache — if
+/// `cache_elems < max(8·B, 32)` or `B` is not a power of two (the §3
+/// compaction requirements plus two full sample strides per chunk).
 pub fn select_kth<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -158,14 +158,26 @@ pub fn select_kth_with<S: BlockStore>(
     k: usize,
     sorter: &OblivSorter,
 ) -> (Element, SelectReport) {
+    select(store, h, cache_elems, k, sorter).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The body behind [`select_kth_with`] and [`try_select_kth`]: store errors
+/// stop the selection and are returned, nothing is retried.
+fn select<S: BlockStore>(
+    store: &mut S,
+    h: &ArrayHandle,
+    cache_elems: usize,
+    k: usize,
+    sorter: &OblivSorter,
+) -> Result<(Element, SelectReport), OdoError> {
     let start = store.io_stats();
     let n = h.len();
     let mut budget = CacheBudget::new(cache_elems);
 
     // Whole array fits in the private cache: one read pass, select CPU-side.
     if n <= cache_elems {
-        let (winner, idx) = budget.with(n.max(1), |_| {
-            let cells = store.load_span(h, 0, n);
+        let (winner, idx) = budget.with(n.max(1), |_| -> Result<_, OdoError> {
+            let cells = store.try_load_span(h, 0, n)?;
             let mut live: Vec<(usize, Element)> = cells
                 .iter()
                 .enumerate()
@@ -177,9 +189,9 @@ pub fn select_kth_with<S: BlockStore>(
                 live.len()
             );
             live.sort_by_key(|&(j, e)| (e.key, j));
-            (live[k].1, live[k].0)
-        });
-        return (
+            Ok((live[k].1, live[k].0))
+        })?;
+        return Ok((
             winner,
             SelectReport {
                 io: store.io_stats() - start,
@@ -191,7 +203,7 @@ pub fn select_kth_with<S: BlockStore>(
                 index: idx,
                 in_cache: true,
             },
-        );
+        ));
     }
 
     let b = h.block_elems();
@@ -214,7 +226,7 @@ pub fn select_kth_with<S: BlockStore>(
     let g = largest_pow2_at_most(cache_elems / 2);
     debug_assert!(g >= 2 * s);
 
-    let (mut cur, live) = build_working_copy(store, h, &mut budget);
+    let (mut cur, live) = build_working_copy(store, h, &mut budget)?;
     assert!(k < live, "rank k out of range: k={k} >= {live} occupied");
 
     // `kp` is the residual rank of the target inside the current window;
@@ -236,22 +248,22 @@ pub fn select_kth_with<S: BlockStore>(
             let lo_e = ci * g;
             let hi_e = ((ci + 1) * g).min(r);
             budget.with(hi_e - lo_e + s, |_| {
-                let mut cells = store.load_span(&cur, lo_e, hi_e);
+                let mut cells = store.try_load_span(&cur, lo_e, hi_e)?;
                 cells.sort_by(cell_cmp_none_last);
                 let picks: Vec<Cell> = (0..s)
                     .map(|i| cells.get((i + 1) * (g / s) - 1).copied().flatten())
                     .collect();
-                store.store_span(&samples, ci * s, &picks);
-            });
+                store.try_store_span(&samples, ci * s, &picks)
+            })?;
         }
 
         // 2. Oblivious approximate-quantile reduction: sort the samples, then
         // stream them once, latching the two bracket splitters in registers —
         // never reading a rank-dependent address.
-        sorter.sort_by(store, &samples, cache_elems, &cell_cmp_none_last);
+        sorter.sort_by(store, &samples, cache_elems, &cell_cmp_none_last)?;
         let q_lo = (kp * s / g).checked_sub(c).filter(|&q| q < s_len);
         let q_hi = Some((kp + 1).div_ceil(g / s)).filter(|&q| q < s_len);
-        let (lo, hi) = scan_splitters(store, &samples, &mut budget, q_lo, q_hi);
+        let (lo, hi) = scan_splitters(store, &samples, &mut budget, q_lo, q_hi)?;
         // lo = None means −∞ (no lower pruning); hi = None means +∞ (a
         // clamped or dummy splitter — every candidate is below it).
         debug_assert!(
@@ -267,7 +279,7 @@ pub fn select_kth_with<S: BlockStore>(
         hint_sweep(store, &cur);
         for beta in 0..cur.n_blocks() {
             budget.with(2 * b, |_| {
-                let mut blk = store.load_block(&cur, beta);
+                let mut blk = store.try_load_block(&cur, beta)?;
                 for t in 0..b {
                     if let Some(e) = blk.get(t) {
                         if lo.is_some_and(|l| e < l) {
@@ -278,11 +290,11 @@ pub fn select_kth_with<S: BlockStore>(
                         }
                     }
                 }
-                store.store_block(&cur, beta, blk);
-            });
+                store.try_store_block(&cur, beta, blk)
+            })?;
         }
         kp -= below;
-        let survivors = crate::compact::compact(store, &cur, cache_elems).occupied;
+        let survivors = crate::compact::route(store, &cur, cache_elems, None)?.occupied;
         assert!(kp < survivors, "the bracket always contains the target");
 
         let r_next = (2 * c + 4) * (g / s);
@@ -296,9 +308,9 @@ pub fn select_kth_with<S: BlockStore>(
         store.hint_blocks(&cur, &prefix);
         for beta in 0..next.n_blocks() {
             budget.with(b, |_| {
-                let blk = store.load_block(&cur, beta);
-                store.store_block(&next, beta, blk);
-            });
+                let blk = store.try_load_block(&cur, beta)?;
+                store.try_store_block(&next, beta, blk)
+            })?;
         }
         cur = next;
         r = r_next;
@@ -307,11 +319,11 @@ pub fn select_kth_with<S: BlockStore>(
     // Finish: sort the final window with the selected engine (it now fits in
     // cache: one read plus one write pass), then stream it to latch the
     // kp-th cell — the working item (key, original index) of the target.
-    sorter.sort_by(store, &cur, cache_elems, &cell_cmp_none_last);
-    let winner = budget.with(r, |_| {
-        let cells = store.load_span(&cur, 0, r);
-        cells[kp].expect("the target survived every pruning round")
-    });
+    sorter.sort_by(store, &cur, cache_elems, &cell_cmp_none_last)?;
+    let winner = budget.with(r, |_| -> Result<_, OdoError> {
+        let cells = store.try_load_span(&cur, 0, r)?;
+        Ok(cells[kp].expect("the target survived every pruning round"))
+    })?;
     let idx = winner.payload as usize;
 
     // Recovery: one streaming pass over the untouched input resurrects the
@@ -320,20 +332,21 @@ pub fn select_kth_with<S: BlockStore>(
     let mut found: Cell = None;
     hint_sweep(store, h);
     for beta in 0..h.n_blocks() {
-        budget.with(b, |_| {
-            let blk = store.load_block(h, beta);
+        budget.with(b, |_| -> Result<(), OdoError> {
+            let blk = store.try_load_block(h, beta)?;
             for t in 0..b {
                 let j = beta * b + t;
                 if j < n && j == idx {
                     found = blk.get(t);
                 }
             }
-        });
+            Ok(())
+        })?;
     }
     let elem = found.expect("the selected index holds an occupied cell");
     debug_assert_eq!(elem.key, winner.key);
 
-    (
+    Ok((
         elem,
         SelectReport {
             io: store.io_stats() - start,
@@ -345,16 +358,15 @@ pub fn select_kth_with<S: BlockStore>(
             index: idx,
             in_cache: false,
         },
-    )
+    ))
 }
 
 /// Fallible variant of [`select_kth`] for untrusted/unreliable servers:
 /// transient faults are retried per `policy` (the retry schedule depends
 /// only on the server's fault schedule, never on the data or the rank), and
-/// the first permanent [`StoreError`](extmem::StoreError) — a corrupted
-/// block, a rollback, exhausted retries — aborts the pass and is returned
-/// as a typed [`OdoError`] instead of panicking or selecting from tampered
-/// data.
+/// the first permanent [`StoreError`] — a corrupted block, a rollback,
+/// exhausted retries — stops the pass and is returned as a typed
+/// [`OdoError`] instead of panicking or selecting from tampered data.
 ///
 /// The input array is left unmodified even on `Err` (selection works on
 /// internal scratch copies); the store remains usable.
@@ -365,9 +377,9 @@ pub fn try_select_kth<S: BlockStore>(
     k: usize,
     policy: RetryPolicy,
 ) -> Result<(Element, SelectReport, RetryStats), OdoError> {
-    run_fallible(store, policy, |s| select_kth(s, h, cache_elems, k))
-        .map(|((elem, report), retry)| (elem, report, retry))
-        .map_err(OdoError::from)
+    let mut retrying = RetryingStore::new(store, policy);
+    let (elem, report) = select(&mut retrying, h, cache_elems, k, &OblivSorter::Bitonic)?;
+    Ok((elem, report, retrying.stats()))
 }
 
 /// Computes the elements at every rank in `ranks` (each 0-based among the
@@ -379,8 +391,8 @@ pub fn try_select_kth<S: BlockStore>(
 ///
 /// # Panics
 /// Panics if any rank is out of range, if `ranks.len() > cache_elems / 4`
-/// (the latched quantiles must fit in private memory), or on the
-/// [`obliv_net::external_oblivious_sort`] cache requirement
+/// (the latched quantiles must fit in private memory), on a store error, or
+/// on the [`obliv_net::external_oblivious_sort`] cache requirement
 /// (`cache_elems ≥ 2B`).
 pub fn quantiles<S: BlockStore>(
     store: &mut S,
@@ -407,6 +419,17 @@ pub fn quantiles_with<S: BlockStore>(
     ranks: &[usize],
     sorter: &OblivSorter,
 ) -> (Vec<Element>, IoStats) {
+    quantiles_of(store, h, cache_elems, ranks, sorter).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The body of [`quantiles_with`].
+fn quantiles_of<S: BlockStore>(
+    store: &mut S,
+    h: &ArrayHandle,
+    cache_elems: usize,
+    ranks: &[usize],
+    sorter: &OblivSorter,
+) -> Result<(Vec<Element>, IoStats), OdoError> {
     let start = store.io_stats();
     let b = h.block_elems();
     assert!(
@@ -415,20 +438,20 @@ pub fn quantiles_with<S: BlockStore>(
     );
     let mut budget = CacheBudget::new(cache_elems);
 
-    let (wrk, live) = build_working_copy(store, h, &mut budget);
+    let (wrk, live) = build_working_copy(store, h, &mut budget)?;
     for &rk in ranks {
         assert!(rk < live, "rank {rk} out of range: {live} occupied");
     }
 
     // One oblivious sort; occupied working items now sit at their ranks.
-    sorter.sort_by(store, &wrk, cache_elems, &cell_cmp_none_last);
+    sorter.sort_by(store, &wrk, cache_elems, &cell_cmp_none_last)?;
 
     // Stream the sorted copy, latching each requested rank in a register.
     let mut picks: Vec<Cell> = vec![None; ranks.len()];
     hint_sweep(store, &wrk);
     for beta in 0..wrk.n_blocks() {
-        budget.with(b + 2 * ranks.len(), |_| {
-            let blk = store.load_block(&wrk, beta);
+        budget.with(b + 2 * ranks.len(), |_| -> Result<(), OdoError> {
+            let blk = store.try_load_block(&wrk, beta)?;
             for t in 0..b {
                 let p = beta * b + t;
                 for (slot, &rk) in ranks.iter().enumerate() {
@@ -437,7 +460,8 @@ pub fn quantiles_with<S: BlockStore>(
                     }
                 }
             }
-        });
+            Ok(())
+        })?;
     }
 
     // Recovery pass over the untouched input: resurrect every winner's full
@@ -445,8 +469,8 @@ pub fn quantiles_with<S: BlockStore>(
     let mut out: Vec<Cell> = vec![None; ranks.len()];
     hint_sweep(store, h);
     for beta in 0..h.n_blocks() {
-        budget.with(b + 2 * ranks.len(), |_| {
-            let blk = store.load_block(h, beta);
+        budget.with(b + 2 * ranks.len(), |_| -> Result<(), OdoError> {
+            let blk = store.try_load_block(h, beta)?;
             for t in 0..b {
                 let j = beta * b + t;
                 for (slot, pick) in picks.iter().enumerate() {
@@ -455,13 +479,14 @@ pub fn quantiles_with<S: BlockStore>(
                     }
                 }
             }
-        });
+            Ok(())
+        })?;
     }
     let elems = out
         .into_iter()
         .map(|c| c.expect("every requested rank resolves to an occupied cell"))
         .collect();
-    (elems, store.io_stats() - start)
+    Ok((elems, store.io_stats() - start))
 }
 
 /// Advertises a full forward block sweep over `h` to the store. Every
@@ -483,7 +508,7 @@ fn build_working_copy<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
     budget: &mut CacheBudget,
-) -> (ArrayHandle, usize) {
+) -> Result<(ArrayHandle, usize), StoreError> {
     let b = h.block_elems();
     let n = h.len();
     let wrk = store.alloc_array(n);
@@ -491,7 +516,7 @@ fn build_working_copy<S: BlockStore>(
     hint_sweep(store, h);
     for beta in 0..h.n_blocks() {
         budget.with(2 * b, |_| {
-            let blk = store.load_block(h, beta);
+            let blk = store.try_load_block(h, beta)?;
             let mut out = Block::empty(b);
             for t in 0..b {
                 let j = beta * b + t;
@@ -503,10 +528,10 @@ fn build_working_copy<S: BlockStore>(
                     live += 1;
                 }
             }
-            store.store_block(&wrk, beta, out);
-        });
+            store.try_store_block(&wrk, beta, out)
+        })?;
     }
-    (wrk, live)
+    Ok((wrk, live))
 }
 
 /// Largest power of two `≤ x` (`x ≥ 1`).
@@ -528,7 +553,7 @@ fn scan_splitters<S: BlockStore>(
     budget: &mut CacheBudget,
     q_lo: Option<usize>,
     q_hi: Option<usize>,
-) -> (Cell, Cell) {
+) -> Result<(Cell, Cell), StoreError> {
     let b = samples.block_elems();
     let len = samples.len();
     let mut lo: Cell = None;
@@ -536,7 +561,7 @@ fn scan_splitters<S: BlockStore>(
     hint_sweep(store, samples);
     for beta in 0..samples.n_blocks() {
         budget.with(b, |_| {
-            let blk = store.load_block(samples, beta);
+            let blk = store.try_load_block(samples, beta)?;
             for t in 0..b {
                 let q = beta * b + t;
                 if q >= len {
@@ -549,9 +574,10 @@ fn scan_splitters<S: BlockStore>(
                     hi = blk.get(t);
                 }
             }
-        });
+            Ok(())
+        })?;
     }
-    (lo, hi)
+    Ok((lo, hi))
 }
 
 #[cfg(test)]

@@ -20,8 +20,8 @@
 //! default. See the repo-root `DESIGN.md` for when to pick which.
 
 use crate::error::OdoError;
-use extmem::element::Cell;
-use extmem::{ArrayHandle, BlockStore, IoStats, RetryPolicy, RetryStats};
+use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
+use extmem::{ArrayHandle, BlockStore, IoStats, RetryPolicy, RetryStats, RetryingStore};
 use obliv_net::bucket_sort::BucketSortConfig;
 use obliv_net::SortOrder;
 use std::cmp::Ordering;
@@ -80,9 +80,9 @@ impl OblivSorter {
     /// # Panics
     /// Panics on the engine's argument requirements (see
     /// [`obliv_net::external_oblivious_sort`] and
-    /// [`obliv_net::bucket_oblivious_sort`]) and, for the bucket engine, on
-    /// a bucket overflow — retry with a fresh seed via [`Self::try_sort`]
-    /// instead of panicking where that matters.
+    /// [`obliv_net::bucket_oblivious_sort`]), on a store error and, for the
+    /// bucket engine, on a bucket overflow — use [`Self::try_sort`] where
+    /// that matters.
     pub fn sort<S: BlockStore>(
         &self,
         store: &mut S,
@@ -90,60 +90,41 @@ impl OblivSorter {
         cache_elems: usize,
         order: SortOrder,
     ) -> SorterReport {
-        match self {
-            OblivSorter::Bitonic => {
-                let r = obliv_net::external_oblivious_sort(store, h, cache_elems, order);
-                SorterReport {
-                    io: r.io,
-                    engine: SortEngine::Bitonic,
-                }
-            }
-            OblivSorter::Bucket(cfg) => {
-                let r = obliv_net::bucket_oblivious_sort(store, h, cache_elems, order, cfg)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                SorterReport {
-                    io: r.io,
-                    engine: SortEngine::Bucket,
-                }
-            }
-        }
+        self.sort_in_order(store, h, cache_elems, order)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Sorts array `h` by an arbitrary cell comparator with the selected
-    /// engine. The comparator must order dummies last (e.g.
+    /// engine: the body behind [`Self::sort`] and [`Self::try_sort`]. The
+    /// comparator must order dummies last (e.g.
     /// [`extmem::element::cell_cmp_none_last`]); the bucket engine enforces
-    /// that itself and only consults `cmp` on occupied cells.
+    /// that itself and only consults `cmp` on occupied cells. Store errors
+    /// and bucket overflows are returned as [`OdoError`]s; nothing is
+    /// retried.
     ///
     /// # Panics
-    /// Same conditions as [`Self::sort`].
+    /// On the engine's argument requirements (see [`Self::sort`]).
     pub fn sort_by<S, F>(
         &self,
         store: &mut S,
         h: &ArrayHandle,
         cache_elems: usize,
         cmp: &F,
-    ) -> SorterReport
+    ) -> Result<SorterReport, OdoError>
     where
         S: BlockStore,
         F: Fn(&Cell, &Cell) -> Ordering,
     {
-        match self {
-            OblivSorter::Bitonic => {
-                let r = obliv_net::external_oblivious_sort_by(store, h, cache_elems, cmp);
-                SorterReport {
-                    io: r.io,
-                    engine: SortEngine::Bitonic,
-                }
-            }
-            OblivSorter::Bucket(cfg) => {
-                let r = obliv_net::bucket_oblivious_sort_by(store, h, cache_elems, cfg, cmp)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                SorterReport {
-                    io: r.io,
-                    engine: SortEngine::Bucket,
-                }
-            }
-        }
+        Ok(match self {
+            OblivSorter::Bitonic => SorterReport {
+                io: obliv_net::external_oblivious_sort_by(store, h, cache_elems, cmp)?.io,
+                engine: SortEngine::Bitonic,
+            },
+            OblivSorter::Bucket(cfg) => SorterReport {
+                io: obliv_net::bucket_oblivious_sort_by(store, h, cache_elems, cfg, cmp)?.io,
+                engine: SortEngine::Bucket,
+            },
+        })
     }
 
     /// Fallible variant of [`Self::sort`] for untrusted/unreliable servers:
@@ -159,31 +140,21 @@ impl OblivSorter {
         order: SortOrder,
         policy: RetryPolicy,
     ) -> Result<(SorterReport, RetryStats), OdoError> {
-        match self {
-            OblivSorter::Bitonic => {
-                let (r, retries) =
-                    obliv_net::try_external_oblivious_sort(store, h, cache_elems, order, policy)
-                        .map_err(OdoError::from)?;
-                Ok((
-                    SorterReport {
-                        io: r.io,
-                        engine: SortEngine::Bitonic,
-                    },
-                    retries,
-                ))
-            }
-            OblivSorter::Bucket(cfg) => {
-                let (r, retries) =
-                    obliv_net::try_bucket_oblivious_sort(store, h, cache_elems, order, cfg, policy)
-                        .map_err(OdoError::from)?;
-                Ok((
-                    SorterReport {
-                        io: r.io,
-                        engine: SortEngine::Bucket,
-                    },
-                    retries,
-                ))
-            }
+        let mut retrying = RetryingStore::new(store, policy);
+        let report = self.sort_in_order(&mut retrying, h, cache_elems, order)?;
+        Ok((report, retrying.stats()))
+    }
+
+    fn sort_in_order<S: BlockStore>(
+        &self,
+        store: &mut S,
+        h: &ArrayHandle,
+        cache_elems: usize,
+        order: SortOrder,
+    ) -> Result<SorterReport, OdoError> {
+        match order {
+            SortOrder::Ascending => self.sort_by(store, h, cache_elems, &cell_cmp_none_last),
+            SortOrder::Descending => self.sort_by(store, h, cache_elems, &cell_cmp_none_last_desc),
         }
     }
 }

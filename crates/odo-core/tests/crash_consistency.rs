@@ -13,7 +13,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use extmem::install_quiet_abort_hook;
 use extmem::util::hash64;
 use odo_core::{
     ArrayHandle, AuthenticatedStore, BlockStore, Cell, Element, FileStore, InjectedCrash,
@@ -66,7 +65,6 @@ fn populate_and_crash(
 
 #[test]
 fn torn_sort_state_is_detected_after_resume() {
-    install_quiet_abort_hook();
     // Vary how deep into the sort the crash lands: right after the first
     // region write-back, mid-pass, and late. Every depth must be detected.
     for (tag, budget) in [("early", 8u64), ("mid", 24), ("late", 48)] {
@@ -113,7 +111,6 @@ fn torn_sort_state_is_detected_after_resume() {
 fn a_whole_run_without_a_crash_still_verifies_after_resume() {
     // Control case: checkpoint *after* a completed sort + MAC flush, reopen,
     // resume — every block must verify and the data must be sorted.
-    install_quiet_abort_hook();
     let path = scratch_path("control");
     let fs = FileStore::create(&path, B).expect("create store file");
     let mut auth = AuthenticatedStore::new(fs, KEY);
@@ -137,7 +134,6 @@ fn a_whole_run_without_a_crash_still_verifies_after_resume() {
 fn out_of_band_disk_corruption_is_detected_after_resume() {
     // A crash plus a corrupted sector: garble one cell of block 0 directly
     // in the file (bypassing every store layer), resume, and read.
-    install_quiet_abort_hook();
     let path = scratch_path("sector");
     let fs = FileStore::create(&path, B).expect("create store file");
     let mut auth = AuthenticatedStore::new(fs, KEY);

@@ -298,7 +298,6 @@ fn transient_only_faults_retry_to_the_correct_result() {
         .unwrap();
         assert!(retry.retries > 0, "3% transients must cause retries");
         assert!(retry.backoff_units >= retry.retries);
-        assert_eq!(retry.suppressed_errors, 0);
         total_retries += retry.retries;
     }
     assert!(total_retries > 20, "got only {total_retries} retries");

@@ -49,11 +49,11 @@ use std::cmp::Ordering;
 use extmem::element::cell_cmp_none_last;
 use extmem::util::{bucket_of, hash64, splitmix64};
 use extmem::{
-    run_fallible, AccessEvent, AccessTrace, ArrayHandle, Block, BlockStore, Cell, Element,
-    RetryPolicy, RetryStats,
+    AccessEvent, AccessTrace, ArrayHandle, Block, BlockStore, Cell, Element, RetryPolicy,
+    RetryStats, RetryingStore,
 };
 use odo_core::obliv_net::hint_block_range;
-use odo_core::{compact_order_preserving, OblivSorter, OdoError};
+use odo_core::{compact, OblivSorter, OdoError};
 
 /// Low bits of a packed rebuild key carrying the copy's age class
 /// (0 = cache, 1 = stash, `i+2` = level `i`); the suppression pass keeps the
@@ -258,27 +258,38 @@ impl Oram {
     /// Reads address `addr`, returning its current value (0 if never
     /// written). Performs the full oblivious access — one bucket probe per
     /// occupied level — and may trigger an amortized rebuild.
+    ///
+    /// # Panics
+    /// If `addr` is out of range, on a store error, or if an earlier access
+    /// failed ([`Self::try_read`] returns these instead).
     pub fn read<S: BlockStore>(&mut self, store: &mut S, addr: u64) -> u64 {
         self.access(store, addr, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Writes `value` to address `addr`. Same trace shape as [`Self::read`]
     /// — the server cannot distinguish reads from writes.
+    ///
+    /// # Panics
+    /// Same conditions as [`Self::read`].
     pub fn write<S: BlockStore>(&mut self, store: &mut S, addr: u64, value: u64) {
-        self.access(store, addr, Some(value));
+        self.access(store, addr, Some(value))
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Fallible [`Self::read`] for untrusted/unreliable backends: transient
     /// faults retry per `policy`; tampering and exhausted retries surface
-    /// as a typed [`OdoError`] and poison the client (further `try_*` calls
-    /// return [`OdoError::InvalidState`] — rebuild the ORAM to recover).
+    /// as a typed [`OdoError`] and poison the client (further calls return
+    /// [`OdoError::InvalidState`] — rebuild the ORAM to recover).
     pub fn try_read<S: BlockStore>(
         &mut self,
         store: &mut S,
         addr: u64,
         policy: RetryPolicy,
     ) -> Result<(u64, RetryStats), OdoError> {
-        self.try_access(store, addr, None, policy)
+        let mut retrying = RetryingStore::new(store, policy);
+        let value = self.access(&mut retrying, addr, None)?;
+        Ok((value, retrying.stats()))
     }
 
     /// Fallible [`Self::write`]; see [`Self::try_read`] for the contract.
@@ -289,20 +300,24 @@ impl Oram {
         value: u64,
         policy: RetryPolicy,
     ) -> Result<RetryStats, OdoError> {
-        self.try_access(store, addr, Some(value), policy)
-            .map(|(_, stats)| stats)
+        let mut retrying = RetryingStore::new(store, policy);
+        self.access(&mut retrying, addr, Some(value))?;
+        Ok(retrying.stats())
     }
 
-    fn try_access<S: BlockStore>(
+    /// One access with its guards: a poisoned client or an out-of-range
+    /// address is refused, and an access that fails poisons the client —
+    /// it may have stopped mid-rebuild, with the client cache drained into
+    /// a half-written level, so its state no longer matches the server.
+    fn access<S: BlockStore>(
         &mut self,
         store: &mut S,
         addr: u64,
         write: Option<u64>,
-        policy: RetryPolicy,
-    ) -> Result<(u64, RetryStats), OdoError> {
+    ) -> Result<u64, OdoError> {
         if self.poisoned {
             return Err(OdoError::InvalidState {
-                reason: "the ORAM client aborted mid-access and its level \
+                reason: "the ORAM client failed mid-access and its level \
                          state no longer matches the server",
             });
         }
@@ -311,18 +326,20 @@ impl Oram {
                 reason: "ORAM address out of range",
             });
         }
-        let (value, stats) = run_fallible(store, policy, |s| self.access(s, addr, write))?;
-        Ok((value, stats))
+        let result = self.probe(store, addr, write);
+        self.poisoned = result.is_err();
+        result
     }
 
     /// One oblivious access: scan the client, probe one bucket per occupied
     /// level (the requested address until found, a fresh nonce afterwards),
     /// cache the result, and flush every `period` accesses.
-    fn access<S: BlockStore>(&mut self, store: &mut S, addr: u64, write: Option<u64>) -> u64 {
-        assert!(!self.poisoned, "ORAM client is poisoned");
-        assert!(addr < self.n, "ORAM address out of range");
-        self.poisoned = true;
-
+    fn probe<S: BlockStore>(
+        &mut self,
+        store: &mut S,
+        addr: u64,
+        write: Option<u64>,
+    ) -> Result<u64, OdoError> {
         let mut found: Option<u64> = None;
         for &(a, v) in &self.cache {
             if a == addr {
@@ -344,7 +361,7 @@ impl Oram {
             }
             let probe = if found.is_none() { addr } else { nonce };
             let bucket = bucket_of(hash64(probe, lvl.salt), lvl.nb);
-            let blk = store.load_block(&lvl.table, bucket);
+            let blk = store.try_load_block(&lvl.table, bucket)?;
             if found.is_none() {
                 for e in blk.slots().iter().flatten() {
                     if e.key == addr {
@@ -364,10 +381,9 @@ impl Oram {
 
         self.accesses += 1;
         if self.accesses.is_multiple_of(self.period) {
-            self.rebuild(store);
+            self.rebuild(store)?;
         }
-        self.poisoned = false;
-        result
+        Ok(result)
     }
 
     /// Which level flush number `flush` (1-based) rebuilds into: the
@@ -380,7 +396,7 @@ impl Oram {
     /// every shallower level, as a pure sort+compact pipeline over the
     /// level's scratch region. Every pass reads and writes a fixed,
     /// data-independent block schedule.
-    fn rebuild<S: BlockStore>(&mut self, store: &mut S) {
+    fn rebuild<S: BlockStore>(&mut self, store: &mut S) -> Result<(), OdoError> {
         self.flushes += 1;
         let l = self.levels.len();
         let j = Self::target_level(self.flushes, l);
@@ -413,22 +429,23 @@ impl Oram {
         client.resize(self.client_slots, Some(Element::new(PAD_KEY, 0)));
         self.cache.clear();
         self.stash.clear();
-        store.store_span(&scratch, 0, &client);
+        store.try_store_span(&scratch, 0, &client)?;
 
         let mut off = self.client_slots / b;
         for i in 0..j {
             debug_assert!(self.levels[i].occupied, "binary-counter invariant");
-            off = self.copy_level_into_scratch(store, i, &scratch, off, (i + 2) as u8);
+            off = self.copy_level_into_scratch(store, i, &scratch, off, (i + 2) as u8)?;
             self.levels[i].occupied = false;
         }
         if include_self && self.levels[j].occupied {
-            off = self.copy_level_into_scratch(store, j, &scratch, off, (j + 2) as u8);
+            off = self.copy_level_into_scratch(store, j, &scratch, off, (j + 2) as u8)?;
         }
         let _ = off;
 
         // Pass 2 — sort by packed key: copies of the same address become
         // adjacent, newest (lowest priority) first, dummies last.
-        self.sorter.sort_by(store, &scratch, m, &cell_cmp_none_last);
+        self.sorter
+            .sort_by(store, &scratch, m, &cell_cmp_none_last)?;
 
         // Pass 3 — suppress stale duplicates and unpack keys back to bare
         // addresses. Sequential full sweep; every block is written back
@@ -438,7 +455,7 @@ impl Oram {
         let mut last: Option<u64> = None;
         let mut survivors = 0usize;
         for k in 0..nblocks {
-            let mut blk = store.load_block(&scratch, k);
+            let mut blk = store.try_load_block(&scratch, k)?;
             for s in 0..blk.len() {
                 let new = match blk.get(s) {
                     // Pads stay occupied so the occupied count cannot leak
@@ -459,7 +476,7 @@ impl Oram {
                 };
                 blk.set(s, new);
             }
-            store.store_block(&scratch, k, blk);
+            store.try_store_block(&scratch, k, blk)?;
         }
         debug_assert!(survivors + cap <= scratch.len());
 
@@ -471,7 +488,7 @@ impl Oram {
             let cells: Vec<Cell> = (0..b)
                 .map(|_| Some(Element::new(FILLER_BIT | k as u64, 0)))
                 .collect();
-            store.store_block(&scratch, filler_base + k, Block::from_cells(&cells));
+            store.try_store_block(&scratch, filler_base + k, Block::from_cells(&cells))?;
         }
 
         // Pass 5 — sort by destination bucket under a fresh epoch salt;
@@ -494,7 +511,7 @@ impl Oram {
                 (None, None) => Ordering::Equal,
             }
         };
-        self.sorter.sort_by(store, &scratch, m, &cmp);
+        self.sorter.sort_by(store, &scratch, m, &cmp)?;
 
         // Pass 6 — keep the first B candidates of every bucket (reals
         // preferentially, since they sort first); overflowing reals go to
@@ -504,7 +521,7 @@ impl Oram {
         let mut cur_bucket = usize::MAX;
         let mut kept = 0usize;
         for k in 0..nblocks {
-            let mut blk = store.load_block(&scratch, k);
+            let mut blk = store.try_load_block(&scratch, k)?;
             for s in 0..blk.len() {
                 if let Some(e) = blk.get(s) {
                     if e.key & PAD_KEY != 0 {
@@ -530,13 +547,13 @@ impl Oram {
                     }
                 }
             }
-            store.store_block(&scratch, k, blk);
+            store.try_store_block(&scratch, k, blk)?;
         }
 
         // Pass 7 — order-preserving compaction. Exactly B kept cells per
         // bucket, in bucket order, so the compacted prefix position of a
         // cell is bucket·B + rank: the prefix IS the new table image.
-        let report = compact_order_preserving(store, &scratch, m);
+        let report = compact::route(store, &scratch, m, None)?;
         debug_assert_eq!(
             report.occupied, cap,
             "every bucket must keep exactly B cells"
@@ -547,11 +564,12 @@ impl Oram {
         let table = self.levels[j].table;
         hint_block_range(store, &scratch, 0, nb);
         for k in 0..nb {
-            let blk = store.load_block(&scratch, k);
-            store.store_block(&table, k, blk);
+            let blk = store.try_load_block(&scratch, k)?;
+            store.try_store_block(&table, k, blk)?;
         }
         self.levels[j].salt = salt;
         self.levels[j].occupied = true;
+        Ok(())
     }
 
     /// Streams level `i`'s table into `scratch` starting at block `off`,
@@ -564,12 +582,12 @@ impl Oram {
         scratch: &ArrayHandle,
         off: usize,
         prio: u8,
-    ) -> usize {
+    ) -> Result<usize, OdoError> {
         let table = self.levels[i].table;
         let nb = self.levels[i].nb;
         hint_block_range(store, &table, 0, nb);
         for k in 0..nb {
-            let mut blk = store.load_block(&table, k);
+            let mut blk = store.try_load_block(&table, k)?;
             for s in 0..blk.len() {
                 let new = match blk.get(s) {
                     // A committed table is always full — B reals+fillers
@@ -581,9 +599,9 @@ impl Oram {
                 };
                 blk.set(s, new);
             }
-            store.store_block(scratch, off + k, blk);
+            store.try_store_block(scratch, off + k, blk)?;
         }
-        off + nb
+        Ok(off + nb)
     }
 
     fn next_rand(&mut self) -> u64 {

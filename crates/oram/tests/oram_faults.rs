@@ -13,10 +13,7 @@
 use std::collections::HashMap;
 
 use extmem::util::hash64;
-use extmem::{
-    install_quiet_abort_hook, AuthenticatedStore, EncryptedStore, FaultSpec, FaultyStore,
-    FileStore, RetryPolicy,
-};
+use extmem::{AuthenticatedStore, EncryptedStore, FaultSpec, FaultyStore, FileStore, RetryPolicy};
 use odo_core::OdoError;
 use oram::{Oram, OramConfig};
 
@@ -45,7 +42,6 @@ enum Outcome {
 /// mixed request load under `spec`, checking every answer against a
 /// client-side mirror.
 fn run_case(seed: u64, spec: FaultSpec) -> (u64, u64, Outcome) {
-    install_quiet_abort_hook();
     let mut auth = stack(seed);
     let mut oram = Oram::new(&mut auth, N, &OramConfig::new(8, 64, seed));
     let mut mirror: HashMap<u64, u64> = HashMap::new();
