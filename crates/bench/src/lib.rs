@@ -1401,8 +1401,8 @@ pub fn to_table(results: &[SortBenchResult]) -> String {
 pub struct FaultScenario {
     /// Scenario name as emitted into the JSON.
     pub name: &'static str,
-    /// Whether an [`AuthenticatedStore`] sits between the client and the
-    /// faulty server.
+    /// Whether an [`AuthenticatedStore`](extmem::AuthenticatedStore) sits
+    /// between the client and the faulty server.
     pub authenticated: bool,
     /// Fault rates injected during the sort (populate and verification run
     /// fault-free).
@@ -1970,7 +1970,7 @@ fn oram_rebuild_bound(
 }
 
 /// The composed analytic I/O bound for a run of `accesses` ORAM accesses:
-/// one probe read per level per access, plus [`oram_rebuild_bound`] for the
+/// one probe read per level per access, plus `oram_rebuild_bound` for the
 /// level each flush actually targets (the binary-counter rule
 /// [`Oram::target_level`]). Every term is an explicit-constant upper bound
 /// on its pass, so the total upper-bounds the measured count — and since

@@ -32,7 +32,7 @@
 //! the `faults` bench gates it at ≤ 15% at the headline point.
 //!
 //! **The span path.** [`Prefetchable::store_run`] MACs a whole run with the
-//! batched kernel ([`mac_run`]: interleaved absorb chains, bit-identical to
+//! batched kernel (`mac_run`: interleaved absorb chains, bit-identical to
 //! the scalar path per block) before one span write of the data;
 //! [`AuthenticatedReader`] verifies spans *on the prefetch worker threads*
 //! — the verify-ahead half of the pipeline — sharing the foreground's

@@ -36,7 +36,7 @@
 //!
 //! The scalar reference path derives each keystream word independently as
 //! `hash64(addr ⊕ rot(slot) ⊕ rot(lane), key ⊕ nonce·φ)` — two `splitmix64`
-//! applications per word, four per cell. [`fill_keystream`] produces the
+//! applications per word, four per cell. `fill_keystream` produces the
 //! identical words for a whole block at once: the inner `splitmix64(salt)`
 //! depends only on `(key, nonce)`, so it is hoisted out of the loop, and the
 //! remaining per-word finalizer runs over 8-wide unrolled lanes so the

@@ -23,11 +23,11 @@
 //! * [`CacheBudget`] — a debug-level accounting helper used by algorithms to
 //!   assert that their private working set never exceeds `M` words.
 //! * [`BlockStore`] — the backend trait both [`ExtMem`] and
-//!   [`EncryptedStore`](crypto::EncryptedStore) implement, so algorithms
+//!   [`EncryptedStore`] implement, so algorithms
 //!   written against it (the external butterfly compaction in `odo-core`)
 //!   run unchanged, with identical traces and I/O counts, over plaintext or
 //!   re-encrypted storage.
-//! * [`EncryptedStore`](crypto::EncryptedStore) — a masking layer that models
+//! * [`EncryptedStore`] — a masking layer that models
 //!   semantically secure re-encryption of every block write (each write
 //!   produces a fresh ciphertext even for identical plaintexts).
 //! * [`trace`] — utilities for comparing access traces, the basis of the
@@ -38,15 +38,15 @@
 //! The paper's server is not merely curious — it is *untrusted*. The fault
 //! model (see the repo-root `DESIGN.md`) extends the substrate accordingly:
 //!
-//! * [`StoreError`](error::StoreError) — the typed failure vocabulary
+//! * [`StoreError`] — the typed failure vocabulary
 //!   returned by the `try_*` operations every [`BlockStore`] implements.
-//! * [`FaultyStore`](fault::FaultyStore) — a seeded, deterministic fault
+//! * [`FaultyStore`] — a seeded, deterministic fault
 //!   injector: transient read failures, ciphertext corruption, stale
 //!   replays, dropped writes, at configurable per-op rates.
-//! * [`AuthenticatedStore`](auth::AuthenticatedStore) — per-block MACs plus
+//! * [`AuthenticatedStore`] — per-block MACs plus
 //!   a client-side version table: corruption and rollback surface as
 //!   `Err(Corrupted | Stale)`, never as wrong data.
-//! * [`RetryingStore`](retry::RetryingStore) — bounded retry with backoff
+//! * [`RetryingStore`] — bounded retry with backoff
 //!   for transient faults; fatal errors are returned to the algorithm, which
 //!   stops and propagates them with `?`.
 //!

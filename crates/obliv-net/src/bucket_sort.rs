@@ -16,14 +16,20 @@
 //!    a superlevel loads a group of `2^γ` buckets into the private cache,
 //!    routes all `γ` levels CPU-side, and writes the group back — so the
 //!    whole butterfly costs `⌈L/γ⌉ ≈ log_{M/B}(N/B)` passes over the bucket
-//!    array instead of `L` passes.
+//!    array instead of `L` passes. In cache the `γ` chained MergeSplit levels
+//!    run as the one stable counting partition by tag they amount to; every
+//!    intermediate bucket's size is checked first, so an overflow fires
+//!    exactly where the chain would report it.
 //! 3. **Dummy removal + run formation.** The last superlevel keeps each
 //!    routed group in cache, removes the bucket padding with a tight
 //!    order-preserving compaction (the §3 operation, executed in cache where
-//!    the network degenerates to a stable pack), sorts the survivors, and
-//!    emits them as a sorted block-aligned run.
+//!    the network degenerates to a stable pack), sorts the survivors in place
+//!    with `sort_unstable_by`, and emits them as a sorted block-aligned run.
+//!    The server sees none of this client work (DESIGN.md, "In-cache
+//!    steps"), so no sorting network is needed.
 //! 4. **`M/B`-way merge.** The runs are merged with a classic multi-way
-//!    merge of fan-in `≈ M/B`. Because step 2 delivered a uniformly random
+//!    merge of fan-in `≈ M/B`, whose live runs sit in a binary heap keyed by
+//!    `(head, run index)`. Because step 2 delivered a uniformly random
 //!    permutation of the items, the merge's data-dependent read order leaks
 //!    nothing about the *input* — this is exactly the random-shuffle argument
 //!    of the bucket-sort paper (and of oblivious shuffle-then-sort designs
@@ -77,6 +83,7 @@
 //! the caller; [`BucketSortReport::attempts`] records the re-rolls.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::error::Error;
 use std::fmt;
 
@@ -87,7 +94,6 @@ use extmem::{
     RetryingStore, StoreError,
 };
 
-use crate::batcher::odd_even_merge_sort_by;
 use crate::external_sort::SortOrder;
 
 /// Default minimum bucket capacity: `exp(−128/6) ≈ 5·10⁻¹⁰` per-bucket
@@ -387,7 +393,7 @@ where
         let cells = store.try_load_span(h, 0, n)?;
         let mut reals: Vec<Cell> = cells.iter().filter(|c| c.is_some()).copied().collect();
         let occupied = reals.len();
-        odd_even_merge_sort_by(&mut reals, cmp);
+        reals.sort_unstable_by(cmp);
         reals.resize(n, None);
         store.try_store_span(h, 0, &reals)?;
         budget.release(whole);
@@ -742,8 +748,14 @@ impl GroupCharge {
     }
 }
 
-/// A bucket resident in cache: `(item, fresh γ-bit tag)` pairs, reals only.
-type TaggedBucket = Vec<(Element, u32)>;
+/// A group resident in cache: the items of its member buckets, member by
+/// member in slot order, with `lens[m]` items in member `m`. Before routing
+/// each item carries its fresh `width(s)`-bit tag.
+#[derive(Debug, PartialEq)]
+struct Group<T> {
+    items: Vec<T>,
+    lens: Vec<usize>,
+}
 
 /// Superlevel 0, fused with distribution: stream the group's input chunks
 /// block by block, tag the occupied cells, route `width(0)` levels in cache,
@@ -762,7 +774,10 @@ fn distribute_group<S: BlockStore>(
     let salt = layout.salt(0);
     let mask = (grp - 1) as u64;
 
-    let mut buckets: Vec<TaggedBucket> = (0..grp).map(|_| Vec::new()).collect();
+    let mut group = Group {
+        items: Vec::new(),
+        lens: vec![0; grp],
+    };
     let mut charge = GroupCharge::new();
 
     let pos_lo = base * layout.chunk;
@@ -776,10 +791,12 @@ fn distribute_group<S: BlockStore>(
             claim(budget, b)?;
             let blk = store.try_load_block(input, bi)?;
             let mut pushed = 0usize;
+            // Positions ascend, so members fill in order.
             for pos in pos_lo.max(bi * b)..pos_hi.min((bi + 1) * b) {
                 if let Some(item) = blk.get(pos - bi * b) {
                     let tag = (hash64(pos as u64, salt) & mask) as u32;
-                    buckets[pos / layout.chunk - base].push((item, tag));
+                    group.items.push((item, tag));
+                    group.lens[pos / layout.chunk - base] += 1;
                     pushed += 1;
                 }
             }
@@ -787,13 +804,13 @@ fn distribute_group<S: BlockStore>(
             budget.release(b);
         }
     }
-    let occupied = buckets.iter().map(Vec::len).sum();
+    let occupied = group.items.len();
 
-    route_buckets(&mut buckets, layout, 0, base)?;
+    let routed = route_buckets(&group, layout.z, 0, base, layout.stride(0)).map_err(Stop::Tail)?;
     write_group(
         store,
         scratch,
-        &mut buckets,
+        &routed,
         layout,
         0,
         base,
@@ -816,12 +833,12 @@ fn route_group<S: BlockStore>(
 ) -> Result<(), Stop> {
     let base = layout.group_base(s, gidx);
     let mut charge = GroupCharge::new();
-    let mut buckets = load_group(store, scratch, layout, s, base, budget, &mut charge)?;
-    route_buckets(&mut buckets, layout, s, base)?;
+    let group = load_group(store, scratch, layout, s, base, budget, &mut charge)?;
+    let routed = route_buckets(&group, layout.z, s, base, layout.stride(s)).map_err(Stop::Tail)?;
     write_group(
         store,
         scratch,
-        &mut buckets,
+        &routed,
         layout,
         s,
         base,
@@ -855,31 +872,20 @@ where
     let b = layout.b;
     let base = layout.group_base(s, gidx);
     let mut charge = GroupCharge::new();
-    let mut buckets = load_group(store, scratch, layout, s, base, budget, &mut charge)?;
-    route_buckets(&mut buckets, layout, s, base)?;
+    let group = load_group(store, scratch, layout, s, base, budget, &mut charge)?;
 
     // Dummy removal: tight order-preserving compaction of the group. In
     // cache the §3 butterfly degenerates to a stable pack of the occupied
-    // cells — the items move, the charge is unchanged.
-    let mut reals: Vec<Element> = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
-    for bucket in buckets.iter_mut() {
-        for (item, _tag) in bucket.drain(..) {
-            reals.push(item);
-        }
-    }
-    odd_even_merge_sort_by(&mut reals, ecmp);
+    // cells, which is the form the router already returns them in — the
+    // charge is unchanged.
+    let mut reals = route_buckets(&group, layout.z, s, base, layout.stride(s))
+        .map_err(Stop::Tail)?
+        .items;
+    reals.sort_unstable_by(ecmp);
 
     claim(budget, b)?;
-    let mut it = reals.iter().copied();
-    for t in 0..reals.len().div_ceil(b) {
-        let mut blk = Block::empty(b);
-        for slot in 0..b {
-            match it.next() {
-                Some(item) => blk.set(slot, Some(item)),
-                None => break,
-            }
-        }
-        store.try_store_block(run_scratch, first_block + t, blk)?;
+    for (t, chunk) in reals.chunks(b).enumerate() {
+        store.try_store_block(run_scratch, first_block + t, Block::padded_from(chunk, b))?;
     }
     budget.release(b);
 
@@ -902,7 +908,7 @@ fn load_group<S: BlockStore>(
     base: usize,
     budget: &mut CacheBudget,
     charge: &mut GroupCharge,
-) -> Result<Vec<TaggedBucket>, Stop> {
+) -> Result<Group<(Element, u32)>, Stop> {
     let b = layout.b;
     let z = layout.z;
     let grp = 1usize << layout.width(s);
@@ -919,11 +925,14 @@ fn load_group<S: BlockStore>(
     }
     store.hint_blocks(scratch, &schedule);
 
-    let mut buckets = Vec::with_capacity(grp);
+    let mut group = Group {
+        items: Vec::new(),
+        lens: Vec::with_capacity(grp),
+    };
     for m in 0..grp {
         let bucket_id = base + m * stride;
         let first_block = bucket_id * z / b;
-        let mut v: TaggedBucket = Vec::new();
+        let before = group.items.len();
         for t in 0..z / b {
             claim(budget, b)?;
             let blk = store.try_load_block(scratch, first_block + t)?;
@@ -932,61 +941,101 @@ fn load_group<S: BlockStore>(
                 if let Some(item) = cell {
                     let gslot = (bucket_id * z + t * b + slot) as u64;
                     let tag = (hash64(gslot, salt) & mask) as u32;
-                    v.push((*item, tag));
+                    group.items.push((*item, tag));
                     pushed += 1;
                 }
             }
             charge.add(budget, pushed)?;
             budget.release(b);
         }
-        buckets.push(v);
+        group.lens.push(group.items.len() - before);
     }
-    Ok(buckets)
+    Ok(group)
 }
 
-/// Routes `width(s)` MergeSplit levels over a group held in cache. Local
-/// level `t` pairs buckets differing in bit `t` and splits on tag bit `t`,
-/// so after all levels item `x` sits in the member bucket named by its tag.
-fn route_buckets(
-    buckets: &mut [TaggedBucket],
-    layout: &Layout,
+/// Routes a resident superlevel-`s` group through all `g = log2(members)`
+/// of its MergeSplit levels at once.
+///
+/// Chaining [`merge_split`] over the levels — level `t` pairs the members
+/// differing in bit `t` and splits their union on tag bit `t`, earlier
+/// member first — moves every item to the member its tag names and keeps
+/// the items' input order within each member. That is one stable counting
+/// partition by tag, done here in a single scatter. The chain's
+/// intermediate buckets are never built, but their sizes are checked
+/// against `capacity` first, in the chain's level-then-pair order: after
+/// level `t`, an item of member `m` with tag `τ` sits in the member whose
+/// low `t + 1` bits are `τ`'s and whose other bits are `m`'s. So an
+/// overflow fires at the same `(superlevel, level, bucket, size)` as in
+/// the chain; `bucket` is the global index `base + member · stride`.
+fn route_buckets<T: Copy + Default>(
+    group: &Group<(T, u32)>,
+    capacity: usize,
     s: usize,
     base: usize,
-) -> Result<(), Stop> {
-    let stride = layout.stride(s);
-    let g = buckets.len().trailing_zeros() as usize;
-    for t in 0..g {
-        let bit = 1usize << t;
-        for j in 0..buckets.len() {
-            if j & bit != 0 {
-                continue;
+    stride: usize,
+) -> Result<Group<T>, BucketSortError> {
+    let grp = group.lens.len();
+    let g = grp.trailing_zeros() as usize;
+
+    // `sizes[t·grp + j]`: the items in member `j` after level `t`.
+    let mut sizes = vec![0usize; g * grp];
+    let mut items = group.items.iter();
+    for (m, &len) in group.lens.iter().enumerate() {
+        for &(_, tag) in items.by_ref().take(len) {
+            for t in 0..g {
+                let low = (2usize << t) - 1;
+                sizes[t * grp + ((m & !low) | (tag as usize & low))] += 1;
             }
-            let k = j | bit;
-            let a = std::mem::take(&mut buckets[j]);
-            let c = std::mem::take(&mut buckets[k]);
-            let (lo, hi) = merge_split(a, c, t as u32, layout.z).map_err(|e| {
-                Stop::Tail(BucketSortError::Overflow {
-                    superlevel: s,
-                    level: t,
-                    bucket: base + if e.side == 0 { j } else { k } * stride,
-                    size: e.size,
-                    capacity: e.capacity,
-                })
-            })?;
-            buckets[j] = lo;
-            buckets[k] = hi;
         }
     }
-    Ok(())
+    for (t, level) in sizes.chunks(grp).enumerate() {
+        for j in (0..grp).filter(|j| j & (1 << t) == 0) {
+            for member in [j, j | 1 << t] {
+                if level[member] > capacity {
+                    return Err(BucketSortError::Overflow {
+                        superlevel: s,
+                        level: t,
+                        bucket: base + member * stride,
+                        size: level[member],
+                        capacity,
+                    });
+                }
+            }
+        }
+    }
+
+    // After the last level every member holds exactly the items tagged
+    // with its own index.
+    let lens = match g {
+        0 => group.lens.clone(),
+        _ => sizes[(g - 1) * grp..].to_vec(),
+    };
+    // `next[m]`: where member `m`'s next item goes.
+    let mut next = Vec::with_capacity(grp);
+    let mut start = 0;
+    for &len in &lens {
+        next.push(start);
+        start += len;
+    }
+    let mut routed = vec![T::default(); group.items.len()];
+    for &(item, tag) in &group.items {
+        let slot = &mut next[tag as usize];
+        routed[*slot] = item;
+        *slot += 1;
+    }
+    Ok(Group {
+        items: routed,
+        lens,
+    })
 }
 
-/// Writes a group's buckets back to `scratch`, each dummy-padded to `Z`,
-/// draining the cache charge bucket by bucket.
+/// Writes a routed group's buckets back to `scratch`, each dummy-padded to
+/// `Z`, draining the cache charge bucket by bucket.
 #[allow(clippy::too_many_arguments)]
 fn write_group<S: BlockStore>(
     store: &mut S,
     scratch: &ArrayHandle,
-    buckets: &mut [TaggedBucket],
+    group: &Group<Element>,
     layout: &Layout,
     s: usize,
     base: usize,
@@ -996,28 +1045,52 @@ fn write_group<S: BlockStore>(
     let b = layout.b;
     let z = layout.z;
     let stride = layout.stride(s);
-    for (m, bucket) in buckets.iter_mut().enumerate() {
-        let bucket_id = base + m * stride;
-        let first_block = bucket_id * z / b;
-        let len = bucket.len();
+    let mut rest = group.items.as_slice();
+    for (m, &len) in group.lens.iter().enumerate() {
+        let (bucket, tail) = rest.split_at(len);
+        rest = tail;
+        let first_block = (base + m * stride) * z / b;
         claim(budget, b)?;
-        let mut it = bucket.drain(..);
+        let mut chunks = bucket.chunks(b);
         for t in 0..z / b {
-            let mut blk = Block::empty(b);
-            for slot in 0..b {
-                match it.next() {
-                    Some((item, _tag)) => blk.set(slot, Some(item)),
-                    None => break,
-                }
-            }
+            let blk = Block::padded_from(chunks.next().unwrap_or_default(), b);
             store.try_store_block(scratch, first_block + t, blk)?;
         }
-        drop(it);
         budget.release(b);
         charge.drop_items(budget, len);
     }
     Ok(())
 }
+
+/// A live run of a multi-way merge: its head item and run index. Ordered
+/// in reverse so that the top of a (max-)[`BinaryHeap`] is the run a linear
+/// scan over all cursors would pick: the smallest head, ties to the
+/// earliest run.
+struct Head<'a, F> {
+    item: Element,
+    run: usize,
+    by: &'a F,
+}
+
+impl<F: Fn(&Element, &Element) -> Ordering> Ord for Head<'_, F> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.by)(&other.item, &self.item).then(other.run.cmp(&self.run))
+    }
+}
+
+impl<F: Fn(&Element, &Element) -> Ordering> PartialOrd for Head<'_, F> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<F: Fn(&Element, &Element) -> Ordering> PartialEq for Head<'_, F> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<F: Fn(&Element, &Element) -> Ordering> Eq for Head<'_, F> {}
 
 /// Merges sorted runs from `src` into one run on `dst` starting at
 /// `dst_first_block`. With `pad_to = Some(n)` (the final pass into the
@@ -1047,6 +1120,11 @@ where
         remaining: usize,
         buf: Block,
     }
+    let head = |c: &Cursor| {
+        c.buf
+            .get(c.slot)
+            .expect("merge run invariant: the first `reals` cells of a run are occupied")
+    };
     // One resident block per input run, one output block, two bookkeeping
     // slots per run for the cursor — this is what bounds the fan-in at M/B.
     let charge = runs.len() * (b + 2) + b;
@@ -1082,28 +1160,23 @@ where
             c.buf = store.try_load_block(src, c.block)?;
         }
     }
+    let mut heap: BinaryHeap<Head<F>> = cursors
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.remaining > 0)
+        .map(|(run, c)| Head {
+            item: head(c),
+            run,
+            by: ecmp,
+        })
+        .collect();
 
     let mut out = Block::empty(b);
     let mut out_slot = 0usize;
     let mut out_block = dst_first_block;
     let mut written = 0usize;
-    loop {
-        let mut best: Option<(usize, Element)> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if c.remaining == 0 {
-                continue;
-            }
-            let head = c
-                .buf
-                .get(c.slot)
-                .expect("merge run invariant: the first `reals` cells of a run are occupied");
-            // Strict `<` keeps the earliest run on ties: deterministic.
-            if best.is_none() || ecmp(&head, &best.as_ref().unwrap().1) == Ordering::Less {
-                best = Some((i, head));
-            }
-        }
-        let Some((i, item)) = best else { break };
-        out.set(out_slot, Some(item));
+    while let Some(mut top) = heap.peek_mut() {
+        out.set(out_slot, Some(top.item));
         out_slot += 1;
         if out_slot == b {
             store.try_store_block(dst, out_block, out)?;
@@ -1112,7 +1185,7 @@ where
             out_block += 1;
         }
         written += 1;
-        let c = &mut cursors[i];
+        let c = &mut cursors[top.run];
         c.slot += 1;
         c.remaining -= 1;
         if c.slot == b && c.remaining > 0 {
@@ -1125,6 +1198,13 @@ where
             if c.remaining > (MERGE_LOOKAHEAD - 1) * b {
                 store.hint_blocks(src, &[c.block + MERGE_LOOKAHEAD - 1]);
             }
+        }
+        // Re-key the winner, or retire its run; the heap restores its order
+        // when `top` drops.
+        if c.remaining > 0 {
+            top.item = head(c);
+        } else {
+            PeekMut::pop(top);
         }
     }
 
@@ -1238,6 +1318,198 @@ mod tests {
                             assert!(hi.windows(2).all(|w| w[0].0 < w[1].0));
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The router as `g` chained [`merge_split`] levels over the group's
+    /// member buckets: the executable spec [`route_buckets`] must match.
+    fn chained_route<T: Copy>(
+        group: &Group<(T, u32)>,
+        capacity: usize,
+        s: usize,
+        base: usize,
+        stride: usize,
+    ) -> Result<Group<T>, BucketSortError> {
+        let mut rest = group.items.as_slice();
+        let mut buckets: Vec<Vec<(T, u32)>> = group
+            .lens
+            .iter()
+            .map(|&len| {
+                let (bucket, tail) = rest.split_at(len);
+                rest = tail;
+                bucket.to_vec()
+            })
+            .collect();
+        for t in 0..buckets.len().trailing_zeros() as usize {
+            let bit = 1usize << t;
+            for j in (0..buckets.len()).filter(|j| j & bit == 0) {
+                let k = j | bit;
+                let a = std::mem::take(&mut buckets[j]);
+                let c = std::mem::take(&mut buckets[k]);
+                let (lo, hi) = merge_split(a, c, t as u32, capacity).map_err(|e| {
+                    BucketSortError::Overflow {
+                        superlevel: s,
+                        level: t,
+                        bucket: base + [j, k][e.side] * stride,
+                        size: e.size,
+                        capacity: e.capacity,
+                    }
+                })?;
+                buckets[j] = lo;
+                buckets[k] = hi;
+            }
+        }
+        Ok(Group {
+            lens: buckets.iter().map(Vec::len).collect(),
+            items: buckets
+                .into_iter()
+                .flatten()
+                .map(|(item, _)| item)
+                .collect(),
+        })
+    }
+
+    /// A random group of `2^g` members with up to `max_len` items each;
+    /// item `i` is `i`, so the routed order is visible. With `skew`, half
+    /// the tags collapse onto one member, so inner levels overflow too.
+    fn random_group(g: usize, max_len: usize, skew: bool, salt: u64) -> Group<(u64, u32)> {
+        let grp = 1usize << g;
+        let lens: Vec<usize> = (0..grp)
+            .map(|m| (hash64(m as u64, salt) % (max_len as u64 + 1)) as usize)
+            .collect();
+        let items = (0..lens.iter().sum::<usize>() as u64)
+            .map(|i| {
+                let h = hash64(i, salt ^ 0x7A65);
+                let tag = if skew && h & 1 == 0 {
+                    (salt as usize % grp) as u32
+                } else {
+                    ((h >> 1) as usize % grp) as u32
+                };
+                (i, tag)
+            })
+            .collect();
+        Group { items, lens }
+    }
+
+    #[test]
+    fn router_matches_chained_merge_split_levels() {
+        for g in 1..=6 {
+            for salt in 0..40u64 {
+                let group = random_group(g, 24, false, salt * 64 + g as u64);
+                let (s, base, stride) = (salt as usize % 3, 5, 1 << (salt % 4));
+                let want = chained_route(&group, 1 << 20, s, base, stride);
+                assert!(want.is_ok());
+                assert_eq!(route_buckets(&group, 1 << 20, s, base, stride), want);
+            }
+        }
+    }
+
+    #[test]
+    fn router_reports_overflow_where_the_chain_does() {
+        let (mut inner, mut last, mut fits) = (0, 0, 0);
+        for g in 1..=6 {
+            for salt in 0..200u64 {
+                let group = random_group(g, 16, true, salt * 64 + g as u64);
+                let capacity = 4 + salt as usize % 36;
+                let (s, base, stride) = (2, salt as usize % 7, 1 << (salt % 3));
+                let want = chained_route(&group, capacity, s, base, stride);
+                assert_eq!(
+                    route_buckets(&group, capacity, s, base, stride),
+                    want,
+                    "g={g} salt={salt} capacity={capacity}"
+                );
+                match want {
+                    Err(BucketSortError::Overflow { level, .. }) if level + 1 < g => inner += 1,
+                    Err(_) => last += 1,
+                    Ok(_) => fits += 1,
+                }
+            }
+        }
+        assert!(
+            inner > 0 && last > 0 && fits > 0,
+            "the battery must overflow at inner and last levels and also fit \
+             (inner {inner}, last {last}, fits {fits})"
+        );
+    }
+
+    /// The run-consumption sequence of a multi-way merge that scans every
+    /// live run for the smallest head, ties to the earliest run.
+    fn linear_scan_merge<F>(runs: &[Vec<Element>], cmp: &F) -> Vec<usize>
+    where
+        F: Fn(&Element, &Element) -> Ordering,
+    {
+        let mut pos = vec![0usize; runs.len()];
+        let mut taken = Vec::new();
+        loop {
+            let mut best: Option<usize> = None;
+            for (i, run) in runs.iter().enumerate() {
+                let Some(head) = run.get(pos[i]) else {
+                    continue;
+                };
+                if best.is_none_or(|b| cmp(head, &runs[b][pos[b]]) == Ordering::Less) {
+                    best = Some(i);
+                }
+            }
+            let Some(i) = best else { return taken };
+            taken.push(i);
+            pos[i] += 1;
+        }
+    }
+
+    /// The same sequence from the heap `merge_runs` keeps.
+    fn heap_merge<F>(runs: &[Vec<Element>], by: &F) -> Vec<usize>
+    where
+        F: Fn(&Element, &Element) -> Ordering,
+    {
+        let mut pos = vec![0usize; runs.len()];
+        let mut heap: BinaryHeap<Head<F>> = runs
+            .iter()
+            .enumerate()
+            .filter_map(|(run, items)| items.first().map(|&item| Head { item, run, by }))
+            .collect();
+        let mut taken = Vec::new();
+        while let Some(mut top) = heap.peek_mut() {
+            let run = top.run;
+            taken.push(run);
+            pos[run] += 1;
+            match runs[run].get(pos[run]) {
+                Some(&item) => top.item = item,
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+        }
+        taken
+    }
+
+    #[test]
+    fn heap_merge_consumes_runs_like_the_linear_scan() {
+        let total = |a: &Element, b: &Element| a.cmp(b);
+        let weak = |a: &Element, b: &Element| a.key.cmp(&b.key);
+        for fan in [1usize, 2, 3, 7, 64, 65] {
+            for salt in 0..20u64 {
+                // Keys from a range of 3: nearly every comparison ties.
+                let runs: Vec<Vec<Element>> = (0..fan)
+                    .map(|r| {
+                        let len = hash64(r as u64, salt) % 40;
+                        let mut run: Vec<Element> = (0..len)
+                            .map(|i| Element::new(hash64(i, salt ^ r as u64) % 3, i))
+                            .collect();
+                        run.sort_unstable();
+                        run
+                    })
+                    .collect();
+                let count: usize = runs.iter().map(Vec::len).sum();
+                for (name, cmp) in [("total", &total as &dyn Fn(&_, &_) -> _), ("weak", &weak)] {
+                    let want = linear_scan_merge(&runs, &cmp);
+                    assert_eq!(want.len(), count);
+                    assert_eq!(
+                        heap_merge(&runs, &cmp),
+                        want,
+                        "{name} fan={fan} salt={salt}"
+                    );
                 }
             }
         }

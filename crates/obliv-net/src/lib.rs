@@ -8,8 +8,6 @@
 //!   access pattern).
 //! * [`network`] — explicit comparator-network representation plus
 //!   zero-one-principle exhaustive checking used by the test-suite.
-//! * [`batcher`] — Batcher's odd-even mergesort for in-memory slices of any
-//!   length, the workhorse in-cache oblivious sort.
 //! * [`bitonic`] — Batcher's bitonic sorter for power-of-two slices; its
 //!   stride structure is what the external-memory sort exploits.
 //! * [`butterfly`] — the butterfly-like routing network of the paper's
@@ -33,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod bitonic;
 pub mod bucket_sort;
 pub mod butterfly;
@@ -41,7 +38,6 @@ pub mod compare;
 pub mod external_sort;
 pub mod network;
 
-pub use batcher::odd_even_merge_sort;
 pub use bitonic::{bitonic_merge_pow2_by, bitonic_network, bitonic_sort_pow2};
 pub use bucket_sort::{
     bucket_oblivious_sort, bucket_oblivious_sort_by, merge_split, try_bucket_oblivious_sort,
