@@ -1,83 +1,62 @@
-//! # odo-bench — the I/O-count benchmark harness
+//! # odo-bench — the benchmark harness
 //!
-//! Runs the workspace's algorithms on an [`ExtMem`] simulator across a grid
-//! of `(N, B, M)` model parameters, reads back the exact I/O counters, and
-//! checks them against the paper's stated bounds. Results are emitted as
-//! `BENCH_sort.json` so every PR's perf trajectory is recorded from PR 1
-//! onwards.
+//! Runs the workspace's primitives across grids of `(N, B, M)` model
+//! parameters, reads back the exact I/O counters, and checks them against
+//! the paper's bounds with explicit constants. Five benchmark *families*
+//! emit one JSON file each — `BENCH_sort.json`, `BENCH_compact.json`,
+//! `BENCH_select.json`, `BENCH_faults.json` and `BENCH_oram.json` — so every
+//! change's I/O and wall-clock trajectory is recorded.
 //!
-//! For the external oblivious sort the bound checked is Lemma 2's
+//! A family ([`Family`]) is described once: its grid, a runner that turns
+//! one grid point into flat [`Record`]s of named fields, the JSON header
+//! and table columns, and its gates. One emitter ([`record::to_json`]) and
+//! one table printer ([`record::to_table`]) serve all five. Every point
+//! runs on the in-memory [`ExtMem`] simulator, which is the reference; the
+//! same run is then replayed over file-backed, encrypted and prefetching
+//! store stacks, and each replay's output, I/O count and access trace are
+//! asserted against the reference before its wall clock is reported.
 //!
-//! ```text
-//! total I/Os  ≤  C · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉²)
-//! ```
+//! The bounds, each with its explicit constant:
 //!
-//! with the explicit constant `C =` [`BOUND_CONSTANT`]. Alongside the
-//! optimized sorter the harness runs the `baseline` crate's full-depth
-//! bitonic sort, so the speedup delivered by in-cache finishing and stride
-//! batching is measured, not assumed.
-//!
-//! Every sort point also runs the randomized **bucket oblivious sort**
-//! head-to-head (plaintext *and* encrypted, with byte-identical traces
-//! asserted), checked against the optimal-form bound
-//!
-//! ```text
-//! total I/Os  ≤  C_k · ⌈N/B⌉ · max(1, ⌈log_{M/B}(N/B)⌉)
-//! ```
-//!
-//! with `C_k =` [`BUCKET_BOUND_CONSTANT`] — the `log_{M/B}` gate, not the
-//! squared binary log. At every grid point with `N/M ≥ 4` the bench further
-//! gates that the bucket sort's I/Os are strictly below the Lemma 2 sort's.
-//!
-//! For the §3 external butterfly compaction (`odo-core::compact`) the bound
-//! checked is
-//!
-//! ```text
-//! total I/Os  ≤  C_c · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)
-//! ```
-//!
-//! with `C_c =` [`COMPACT_BOUND_CONSTANT`] — note the *single* log factor,
-//! the paper's compaction advantage over sorting. The compaction results are
-//! emitted as `BENCH_compact.json`; each point also runs the identical
-//! algorithm over an [`extmem::EncryptedStore`] and asserts the
-//! re-encryption layer adds **zero** I/Os.
-//!
-//! For the §4 selection (`odo-core::select`) the bound checked is the same
-//! single-log form with `C_s =` [`SELECT_BOUND_CONSTANT`] — selection is
-//! iterated prune-and-compact, so it inherits compaction's advantage over
-//! sorting. Alongside the bound, each `BENCH_select.json` point runs the
-//! naive sort-then-index baseline and replays the identical selection over an
-//! [`extmem::EncryptedStore`], asserting not just equal I/O counts but a
-//! **byte-identical access trace** (and, separately, that the trace is
-//! independent of the requested rank `k`).
-//!
-//! The hierarchical ORAM (`odo-oram`) is gated as a *composed* bound: one
-//! probe read per level per access plus, for every flush, a per-rebuild
-//! bound assembled pass by pass from the pipeline's structure and the
-//! sort/compaction bounds above ([`oram_io_bound`]). Level `j` is rebuilt
-//! every `2^(j+1)` flushes at `O(sort(cap_j))` I/Os, so the composed total
-//! telescopes to the paper's `O(log² n)` amortized block I/Os per access.
-//! Each `BENCH_oram.json` point reports the measured amortized I/Os and the
-//! wall clock of the identical access sequence over `ExtMem`, `FileStore`
-//! and `EncryptedStore<FileStore>`, with every file-backed trace asserted
-//! byte-identical to the simulator's.
+//! * sort — Lemma 2's `C · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉²)` ([`sort_io_bound`]),
+//!   against the `baseline` crate's full-depth bitonic sort, so the speedup
+//!   of in-cache finishing and stride batching is measured, not assumed; the
+//!   randomized bucket sort runs head-to-head against the optimal form
+//!   `C_k · ⌈N/B⌉ · max(1, ⌈log_{M/B}(N/B)⌉)` ([`bucket_sort_io_bound`]) and
+//!   must beat Lemma 2's I/Os wherever `N/M ≥ 4`;
+//! * compaction (§3) and selection (§4) — the *single*-log
+//!   `C · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)` ([`compact_io_bound`],
+//!   [`select_io_bound`]), the paper's advantage over sorting, each against
+//!   its naive baseline;
+//! * ORAM — a bound composed pass by pass from the above
+//!   ([`oram_io_bound`]), which telescopes to `O(log² n)` amortized I/Os
+//!   per access;
+//! * faults — tampering by a seeded faulty server always surfaces as a
+//!   typed error under authentication ([`check_fault_gates`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod record;
+mod sweep;
+
+pub use record::{Column, Record, Value};
+
 use baseline::{naive_external_bitonic_sort, naive_external_butterfly_compact, naive_select_kth};
 use extmem::element::Cell;
 use extmem::{
-    Element, EncryptedStore, ExtMem, FaultSpec, FaultStats, FileStore, IoStats, PrefetchingStore,
+    ArrayHandle, AuthenticatedStore, BackingStore, BlockStore, Element, EncryptedStore, ExtMem,
+    FaultSpec, FaultyStore, FileStore, IoStats, RetryPolicy, StoreError,
 };
-use obliv_net::bucket_sort::{bucket_oblivious_sort, BucketSortConfig, BucketSortReport};
-use obliv_net::external_sort::{external_oblivious_sort, SortOrder, SortReport};
-use odo_core::compact::{compact, CompactReport};
-use odo_core::select::{select_kth, SelectReport};
+use obliv_net::bucket_sort::{bucket_oblivious_sort, BucketSortConfig};
+use obliv_net::external_sort::{external_oblivious_sort, SortOrder};
+use odo_core::compact::compact;
+use odo_core::select::select_kth;
 use odo_core::SortEngine;
 use oram::{LevelGeometry, Oram, OramConfig};
-use std::fmt::Write as _;
+use record::fmt_ms;
 use std::time::Instant;
+use sweep::{fastest, load_cells, run_lane, sweep, Lane, LaneRun, Workload};
 
 /// The explicit constant `C` of the checked sort I/O bound.
 pub const BOUND_CONSTANT: u64 = 4;
@@ -96,6 +75,44 @@ pub const COMPACT_BOUND_CONSTANT: u64 = 32;
 /// The explicit constant `C_s` of the checked selection I/O bound.
 pub const SELECT_BOUND_CONSTANT: u64 = 64;
 
+const IO_MODEL: &str = "1 I/O per block read or write, ExtMem::stats";
+
+/// One benchmark family: what `odo-bench <NAME>` runs and writes to
+/// `BENCH_<NAME>.json`.
+pub trait Family {
+    /// The subcommand, and the stem of the JSON file.
+    const NAME: &'static str;
+    /// The key of the JSON array holding one object per record.
+    const LIST: &'static str = "points";
+    /// The terminal table's columns.
+    const COLUMNS: &'static [Column];
+    /// One grid point.
+    type Point: Copy + std::fmt::Debug;
+    /// The `--smoke` grid or the full grid.
+    fn grid(smoke: bool) -> Vec<Self::Point>;
+    /// Measures one point: one record, or one per row. `all_lanes` adds the
+    /// naive baselines and the file-backed lanes (and with them every
+    /// wall-clock field); without it a point runs in memory only, cheap
+    /// enough for the unit tests. The fault family always runs both of its
+    /// backends.
+    fn run(point: Self::Point, all_lanes: bool) -> Vec<Record>;
+    /// The JSON document's top-level fields.
+    fn header() -> Record;
+    /// Every violated gate as a message; prints the headline figures.
+    /// `wall_clock_gate = false` makes the wall-clock gates advisory.
+    fn gates(rows: &[Record], wall_clock_gate: bool) -> Vec<String>;
+
+    /// The family's JSON document.
+    fn json(rows: &[Record]) -> String {
+        record::to_json(&Self::header(), Self::LIST, rows)
+    }
+
+    /// The family's terminal table.
+    fn table(rows: &[Record]) -> String {
+        record::to_table(Self::COLUMNS, rows)
+    }
+}
+
 /// One `(N, B, M)` parameter point of the benchmark grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GridPoint {
@@ -107,112 +124,21 @@ pub struct GridPoint {
     pub m: usize,
 }
 
-/// Wall-clock nanoseconds of one primitive run over each storage backend.
-///
-/// The I/O *counts* are identical across backends by construction (the
-/// harness asserts byte-identical access traces), so this is the one place
-/// real time enters the benchmark: the same block schedule paid for in
-/// memory moves (`ExtMem`), file system calls (`FileStore`), and decrypt +
-/// re-encrypt work over the file (`EncryptedStore<FileStore>`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BackendNanos {
-    /// The in-memory `ExtMem` simulator.
-    pub extmem_ns: u64,
-    /// The tempdir-backed `FileStore` doing real reads and writes.
-    pub file_ns: u64,
-    /// `EncryptedStore<FileStore>` — same file, plus the cipher work.
-    pub encrypted_file_ns: u64,
-}
+/// The headline point `(N=2^18, B=64, M=2^13)` of the full grid, where the
+/// headline speedups and wall-clock comparisons are gated.
+pub const HEADLINE: GridPoint = GridPoint {
+    n: 1 << 18,
+    b: 64,
+    m: 1 << 13,
+};
 
 /// Runs `f` once and returns its result plus the elapsed wall-clock
 /// nanoseconds (saturated into `u64`, which holds ~584 years).
-fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let start = Instant::now();
     let out = f();
     let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     (out, ns)
-}
-
-/// Wall-clock timings of one sort grid point (filled only when
-/// [`run_sort_point`] is asked to exercise the file-backed backends).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SortTimings {
-    /// The Lemma 2 engine over each backend.
-    pub lemma2: BackendNanos,
-    /// The bucket engine over each backend.
-    pub bucket: BackendNanos,
-    /// The bucket engine over `PrefetchingStore<FileStore>` — the headline
-    /// wall-clock comparison: shape-derived read-ahead against the plain
-    /// file store's synchronous loads (`bucket.file_ns`).
-    pub bucket_prefetch_ns: u64,
-    /// The bucket engine over `Prefetching(Encrypted(FileStore))` — the
-    /// span-pipeline comparison: decrypt-ahead workers and batched-keystream
-    /// span writes against the plain encrypted store's synchronous
-    /// decrypt-on-load (`bucket.encrypted_file_ns`), interleaved min-of-N
-    /// like the plaintext pair.
-    pub encrypted_prefetch_ns: u64,
-}
-
-/// Measured result of one grid point.
-#[derive(Clone, Debug)]
-pub struct SortBenchResult {
-    /// The parameters measured.
-    pub point: GridPoint,
-    /// I/O statistics of the optimized external oblivious sort.
-    pub optimized: IoStats,
-    /// Structural report of the optimized sort.
-    pub report: SortReport,
-    /// I/Os of the identical sort over the re-encrypting store (always equal
-    /// to `optimized` — the encryption layer costs zero extra I/Os).
-    pub encrypted: IoStats,
-    /// I/O statistics of the randomized bucket oblivious sort head-to-head.
-    pub bucket: IoStats,
-    /// Structural report of the bucket sort.
-    pub bucket_report: BucketSortReport,
-    /// I/Os of the bucket sort over the re-encrypting store (always equal to
-    /// `bucket`; [`run_sort_point`] additionally asserts the plaintext and
-    /// encrypted traces are byte-identical).
-    pub bucket_encrypted: IoStats,
-    /// The bucket bound `C_k · ⌈N/B⌉ · max(1, ⌈log_{M/B}(N/B)⌉)`.
-    pub bucket_bound_total: u64,
-    /// Whether the bucket sort's total I/Os satisfy its bound.
-    pub bucket_within_bound: bool,
-    /// I/O statistics of the naive full-depth baseline, if it was run.
-    pub naive: Option<IoStats>,
-    /// Levels the naive baseline executed, if it was run.
-    pub naive_levels: Option<usize>,
-    /// The bound `C · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉²)`.
-    pub bound_total: u64,
-    /// Whether the optimized sort's total I/Os satisfy the bound.
-    pub within_bound: bool,
-    /// Wall-clock timings over `ExtMem`, `FileStore` and
-    /// `Encrypted(FileStore)` — `None` when the point was run I/O-count-only
-    /// (`backends = false`). Every file-backed run's access trace is
-    /// asserted byte-identical to the `ExtMem` reference before a timing is
-    /// recorded.
-    pub timings: Option<SortTimings>,
-}
-
-impl SortBenchResult {
-    /// Naive-over-optimized I/O ratio (the headline speedup), if the naive
-    /// baseline was run.
-    pub fn speedup(&self) -> Option<f64> {
-        self.naive
-            .map(|n| n.total() as f64 / self.optimized.total().max(1) as f64)
-    }
-
-    /// Lemma-2-over-bucket I/O ratio — how many times fewer I/Os the
-    /// randomized engine pays than the deterministic one at this point.
-    pub fn bucket_speedup_vs_lemma2(&self) -> f64 {
-        self.optimized.total() as f64 / self.bucket.total().max(1) as f64
-    }
-
-    /// Whether this point is subject to the "bucket strictly beats Lemma 2"
-    /// gate (`N/M ≥ 4`; below that the randomized engine's fixed costs can
-    /// legitimately lose to the near-in-cache bitonic sort).
-    pub fn bucket_gate_applies(&self) -> bool {
-        self.point.n >= 4 * self.point.m
-    }
 }
 
 /// `⌈log2(⌈N/M⌉)⌉`, the shared "external levels" factor of every bound
@@ -255,450 +181,24 @@ pub fn bucket_sort_io_bound(n: usize, b: usize, m: usize) -> u64 {
     BUCKET_BOUND_CONSTANT * n.div_ceil(b) as u64 * ceil_log_base_ratio(n, b, m)
 }
 
+/// The compaction bound `C_c · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)` — one log
+/// factor, not two.
+pub fn compact_io_bound(n: usize, b: usize, m: usize) -> u64 {
+    COMPACT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + ceil_log2_ratio(n, m))
+}
+
+/// The selection bound `C_s · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)` — the single-log
+/// form selection inherits from prune-and-compact.
+pub fn select_io_bound(n: usize, b: usize, m: usize) -> u64 {
+    SELECT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + ceil_log2_ratio(n, m))
+}
+
 /// Deterministic pseudo-random input used by every benchmark run, so results
 /// are reproducible across machines and PRs.
 pub fn bench_input(n: usize, salt: u64) -> Vec<Element> {
     (0..n)
         .map(|i| Element::keyed(extmem::util::hash64(i as u64, salt), i))
         .collect()
-}
-
-/// One timed run of the Lemma 2 sort over a re-encrypting store with any
-/// backing (`ExtMem` or `FileStore`): asserts the output is sorted and
-/// returns the layer's I/O count and the elapsed time.
-fn run_encrypted_sort<S: extmem::BackingStore>(
-    mut enc: EncryptedStore<S>,
-    cells: &[Cell],
-    m: usize,
-    expected: &[Element],
-) -> (IoStats, u64) {
-    let eh = enc.alloc_array_from_cells(cells);
-    let (ereport, ns) = timed(|| external_oblivious_sort(&mut enc, &eh, m, SortOrder::Ascending));
-    assert_eq!(
-        enc.snapshot_cells(&eh)
-            .into_iter()
-            .flatten()
-            .collect::<Vec<_>>(),
-        expected,
-        "encrypted sort failed"
-    );
-    (ereport.io, ns)
-}
-
-/// One timed run of the bucket sort over a re-encrypting store with any
-/// backing: asserts the output is sorted and returns the I/O count, the
-/// access trace and the elapsed time.
-fn run_encrypted_bucket_sort<S: extmem::BackingStore>(
-    mut enc: EncryptedStore<S>,
-    cells: &[Cell],
-    m: usize,
-    expected: &[Element],
-    bcfg: &BucketSortConfig,
-) -> (IoStats, extmem::AccessTrace, u64) {
-    let beh = enc.alloc_array_from_cells(cells);
-    enc.enable_trace();
-    let (bereport, ns) = timed(|| {
-        bucket_oblivious_sort(&mut enc, &beh, m, SortOrder::Ascending, bcfg)
-            .unwrap_or_else(|e| panic!("encrypted bucket sort failed: {e}"))
-    });
-    assert_eq!(
-        enc.snapshot_cells(&beh)
-            .into_iter()
-            .flatten()
-            .collect::<Vec<_>>(),
-        expected,
-        "encrypted bucket sort mis-sorted"
-    );
-    let betrace = enc.take_trace().expect("tracing was enabled");
-    (bereport.io, betrace, ns)
-}
-
-/// Measures one grid point. Runs the optimized sorter always, the naive
-/// baseline when `run_naive` is set (it costs `Θ((N/B) log² N)` simulated
-/// I/Os, which is cheap to simulate but noisy to read), and — when
-/// `backends` is set — the wall-clock backend sweep: both engines over
-/// `FileStore` and `Encrypted(FileStore)` plus the bucket engine over
-/// `PrefetchingStore<FileStore>` and `Prefetching(Encrypted(FileStore))`
-/// (decrypt-ahead workers against the batched-keystream span path), every
-/// file-backed trace asserted byte-identical to the `ExtMem` reference. The
-/// full `Prefetching(Auth(Encrypted(FileStore)))` stack also runs once on
-/// two same-shape inputs and must produce identical logical traces and I/O
-/// counts — the MAC arrays shift the address layout, so data-independence
-/// rather than ExtMem byte-parity is the assertable property there. Panics
-/// if any sorter fails to actually sort — a benchmark of a wrong algorithm
-/// is meaningless.
-pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> SortBenchResult {
-    let GridPoint { n, b, m } = point;
-    let input = bench_input(n, 0xB0B);
-    let mut expected = input.clone();
-    expected.sort_unstable();
-
-    let mut mem = ExtMem::with_trace(b);
-    let h = mem.alloc_array_from_elements(&input);
-    let (report, lemma2_extmem_ns) =
-        timed(|| external_oblivious_sort(&mut mem, &h, m, SortOrder::Ascending));
-    assert_eq!(
-        mem.snapshot_elements(&h),
-        expected,
-        "optimized sort failed at N={n} B={b} M={m}"
-    );
-    let optimized = report.io;
-    let l2trace = mem.take_trace().expect("tracing was enabled");
-
-    // The same sort over the re-encrypting store: every block is decrypted on
-    // read and re-encrypted (fresh nonce) on write, yet the I/O count is
-    // identical — the trait-generic sort closes the ROADMAP's
-    // sort-over-EncryptedStore item. In the backend sweep the ciphertext
-    // lives in a real file, so the timing covers cipher + file system work.
-    let ecells: Vec<Cell> = input.iter().copied().map(Some).collect();
-    let (encrypted_io, lemma2_encfile_ns) = if backends {
-        let fs = FileStore::temp(b).expect("tempdir-backed block file");
-        run_encrypted_sort(
-            EncryptedStore::with_backing(fs, 0x50F7),
-            &ecells,
-            m,
-            &expected,
-        )
-    } else {
-        run_encrypted_sort(EncryptedStore::new(b, 0x50F7), &ecells, m, &expected)
-    };
-    assert_eq!(
-        encrypted_io, optimized,
-        "the encryption layer must add zero I/Os to the sort at N={n} B={b} M={m}"
-    );
-
-    // The plain file-backed Lemma 2 sort: real reads and writes, and the
-    // server-visible trace must match the simulator's byte for byte.
-    let lemma2_file_ns = if backends {
-        let mut fs = FileStore::temp(b).expect("tempdir-backed block file");
-        let fh = fs.alloc_array_from_elements(&input);
-        fs.enable_trace();
-        let (frep, ns) = timed(|| external_oblivious_sort(&mut fs, &fh, m, SortOrder::Ascending));
-        assert_eq!(
-            fs.snapshot_elements(&fh),
-            expected,
-            "file-backed sort failed at N={n} B={b} M={m}"
-        );
-        assert_eq!(
-            frep.io, optimized,
-            "the file store must count the same I/Os at N={n} B={b} M={m}"
-        );
-        let ftrace = fs.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            ftrace, l2trace,
-            "FileStore sort trace must be byte-identical to ExtMem at N={n} B={b} M={m}"
-        );
-        ns
-    } else {
-        0
-    };
-
-    // The randomized bucket oblivious sort head-to-head, plaintext and
-    // encrypted, with the access traces captured. Both runs use the same
-    // fixed seed, so beyond equal outputs and equal I/O counts the two
-    // traces must be *byte-identical* — the encryption layer may not perturb
-    // the server-visible access pattern in any way.
-    let bcfg = BucketSortConfig::seeded(BUCKET_SORT_SEED);
-    let mut bmem = ExtMem::with_trace(b);
-    let bh = bmem.alloc_array_from_elements(&input);
-    let (bucket_report, bucket_extmem_ns) = timed(|| {
-        bucket_oblivious_sort(&mut bmem, &bh, m, SortOrder::Ascending, &bcfg)
-            .unwrap_or_else(|e| panic!("bucket sort failed at N={n} B={b} M={m}: {e}"))
-    });
-    assert_eq!(
-        bmem.snapshot_elements(&bh),
-        expected,
-        "bucket sort mis-sorted at N={n} B={b} M={m}"
-    );
-    let bucket = bucket_report.io;
-    let btrace = bmem.take_trace().expect("tracing was enabled");
-
-    let (bucket_encrypted_io, betrace, bucket_encfile_ns) = if backends {
-        let fs = FileStore::temp(b).expect("tempdir-backed block file");
-        run_encrypted_bucket_sort(
-            EncryptedStore::with_backing(fs, 0x50F8),
-            &ecells,
-            m,
-            &expected,
-            &bcfg,
-        )
-    } else {
-        run_encrypted_bucket_sort(EncryptedStore::new(b, 0x50F8), &ecells, m, &expected, &bcfg)
-    };
-    assert_eq!(
-        bucket_encrypted_io, bucket,
-        "the encryption layer must add zero I/Os to the bucket sort at N={n} B={b} M={m}"
-    );
-    assert_eq!(
-        btrace, betrace,
-        "plaintext and encrypted bucket-sort traces must be byte-identical"
-    );
-
-    // The headline wall-clock pair: the bucket sort over the plain file
-    // store (synchronous loads) versus the same sort over
-    // `PrefetchingStore<FileStore>`, whose shape-derived hints let a worker
-    // pool overlap reads with the oblivious routing work. The prefetching
-    // run's *logical* trace — recorded in foreground request order — must
-    // still match the simulator's byte for byte: read-ahead is a latency
-    // optimization, never a visible access-pattern change.
-    let (bucket_file_ns, bucket_prefetch_ns, bucket_encfile_ns, encrypted_prefetch_ns) = if backends
-    {
-        // Min-of-N on the two wall-clock-gated runs, with the repetitions
-        // INTERLEAVED (plain, prefetch, plain, prefetch, ...) so both
-        // backends sample the same noise windows — VM clock drift across a
-        // bench run is larger than the margin under test, so back-to-back
-        // batches would compare different weather, not different backends.
-        // The logical work is identical across repetitions (same input,
-        // same seed, asserted below), so the minimum is the cleanest
-        // estimate of each backend's intrinsic cost.
-        const WALL_CLOCK_REPS: usize = 5;
-        let mut file_ns = u64::MAX;
-        let mut prefetch_ns = u64::MAX;
-        let mut encfile_ns = u64::MAX;
-        let mut enc_prefetch_ns = u64::MAX;
-        for _ in 0..WALL_CLOCK_REPS {
-            let mut fs = FileStore::temp(b).expect("tempdir-backed block file");
-            let fh = fs.alloc_array_from_elements(&input);
-            fs.enable_trace();
-            let (frep, ns) = timed(|| {
-                bucket_oblivious_sort(&mut fs, &fh, m, SortOrder::Ascending, &bcfg)
-                    .unwrap_or_else(|e| panic!("file-backed bucket sort failed: {e}"))
-            });
-            file_ns = file_ns.min(ns);
-            assert_eq!(
-                fs.snapshot_elements(&fh),
-                expected,
-                "file-backed bucket sort mis-sorted at N={n} B={b} M={m}"
-            );
-            assert_eq!(frep.io, bucket, "file-backed bucket I/Os diverged");
-            let ftrace = fs.take_trace().expect("tracing was enabled");
-            assert_eq!(
-                ftrace, btrace,
-                "FileStore bucket trace must be byte-identical to ExtMem at N={n} B={b} M={m}"
-            );
-
-            let mut pfs = FileStore::temp(b).expect("tempdir-backed block file");
-            let ph = pfs.alloc_array_from_elements(&input);
-            let mut ps = PrefetchingStore::new(pfs);
-            ps.enable_trace();
-            let (prep, ns) = timed(|| {
-                let rep = bucket_oblivious_sort(&mut ps, &ph, m, SortOrder::Ascending, &bcfg)
-                    .unwrap_or_else(|e| panic!("prefetching bucket sort failed: {e}"));
-                // Durability is part of the measured cost: flush the
-                // write-behind buffer inside the timed region.
-                ps.flush_writes()
-                    .unwrap_or_else(|e| panic!("write-behind flush failed: {e}"));
-                rep
-            });
-            prefetch_ns = prefetch_ns.min(ns);
-            assert_eq!(
-                ps.inner().snapshot_elements(&ph),
-                expected,
-                "prefetching bucket sort mis-sorted at N={n} B={b} M={m}"
-            );
-            assert_eq!(prep.io, bucket, "prefetching bucket I/Os diverged");
-            let ptrace = ps.take_trace().expect("tracing was enabled");
-            assert_eq!(
-                ptrace, btrace,
-                "PrefetchingStore bucket trace must be byte-identical to ExtMem at N={n} B={b} M={m}"
-            );
-
-            // The encrypted pair, interleaved the same way: the plain
-            // `Encrypted(FileStore)` (synchronous decrypt-on-load) against
-            // `Prefetching(Encrypted(FileStore))` — decrypt-ahead workers,
-            // batched keystream, write-behind spans re-encrypted off the
-            // foreground thread.
-            let (eio, etrace, ns) = run_encrypted_bucket_sort(
-                EncryptedStore::with_backing(
-                    FileStore::temp(b).expect("tempdir-backed block file"),
-                    0x50F8,
-                ),
-                &ecells,
-                m,
-                &expected,
-                &bcfg,
-            );
-            encfile_ns = encfile_ns.min(ns);
-            assert_eq!(eio, bucket, "encrypted bucket I/Os diverged");
-            assert_eq!(etrace, btrace, "encrypted bucket trace diverged");
-
-            let mut penc = EncryptedStore::with_backing(
-                FileStore::temp(b).expect("tempdir-backed block file"),
-                0x50F8,
-            );
-            let peh = penc.alloc_array_from_cells(&ecells);
-            let mut pes = PrefetchingStore::new(penc);
-            pes.enable_trace();
-            let (perep, ns) = timed(|| {
-                let rep = bucket_oblivious_sort(&mut pes, &peh, m, SortOrder::Ascending, &bcfg)
-                    .unwrap_or_else(|e| panic!("encrypted prefetching bucket sort failed: {e}"));
-                pes.flush_writes()
-                    .unwrap_or_else(|e| panic!("write-behind flush failed: {e}"));
-                rep
-            });
-            enc_prefetch_ns = enc_prefetch_ns.min(ns);
-            assert_eq!(
-                pes.inner()
-                    .snapshot_cells(&peh)
-                    .into_iter()
-                    .flatten()
-                    .collect::<Vec<_>>(),
-                expected,
-                "encrypted prefetching bucket sort mis-sorted at N={n} B={b} M={m}"
-            );
-            assert_eq!(
-                perep.io, bucket,
-                "encrypted prefetching bucket I/Os diverged"
-            );
-            let petrace = pes.take_trace().expect("tracing was enabled");
-            assert_eq!(
-                petrace, btrace,
-                "Prefetching(Encrypted(FileStore)) bucket trace must be byte-identical to ExtMem \
-                 at N={n} B={b} M={m}"
-            );
-        }
-
-        // Full-stack obliviousness: a sort through
-        // `Prefetching(Auth(Encrypted(FileStore)))` — spans MACed as a
-        // batch on write, verified ahead on worker threads. The auth layer
-        // interleaves MAC arrays into the address space, so its layout (and
-        // hence its trace) cannot be compared to ExtMem's; instead the
-        // logical trace is asserted *data-independent*: two different
-        // same-shape inputs must produce byte-identical traces and I/Os.
-        // The Lemma 2 engine is the right probe here — its trace is a
-        // function of shape alone, while the bucket engine's is a
-        // deterministic function of (shape, seed, data).
-        {
-            use extmem::{AuthenticatedStore, BlockStore};
-            let run_full_stack = |cells: &[Cell]| {
-                let enc = EncryptedStore::with_backing(
-                    FileStore::temp(b).expect("tempdir-backed block file"),
-                    0x50F8,
-                );
-                let mut auth = AuthenticatedStore::new(enc, 0x4D4143);
-                let ah = BlockStore::alloc_array(&mut auth, cells.len());
-                auth.try_store_span(&ah, 0, cells)
-                    .unwrap_or_else(|e| panic!("full-stack populate failed: {e}"));
-                let mut ps = PrefetchingStore::new(auth);
-                ps.enable_trace();
-                let rep = external_oblivious_sort(&mut ps, &ah, m, SortOrder::Ascending);
-                ps.flush_writes()
-                    .unwrap_or_else(|e| panic!("write-behind flush failed: {e}"));
-                let trace = ps.take_trace().expect("tracing was enabled");
-                let mut sorted = Vec::with_capacity(cells.len());
-                for i in 0..ah.n_blocks() {
-                    let blk = ps.load_block(&ah, i);
-                    sorted.extend(blk.slots().iter().flatten().copied());
-                    ps.recycle(blk);
-                }
-                (rep.io, trace, sorted)
-            };
-            let (io_a, trace_a, sorted_a) = run_full_stack(&ecells);
-            assert_eq!(
-                sorted_a, expected,
-                "full-stack sort mis-sorted at N={n} B={b} M={m}"
-            );
-            let other_input = bench_input(n, 0xB0C);
-            let other_cells: Vec<Cell> = other_input.iter().copied().map(Some).collect();
-            let (io_b, trace_b, _) = run_full_stack(&other_cells);
-            assert_eq!(
-                io_a, io_b,
-                "full-stack I/O counts must be input-independent at N={n} B={b} M={m}"
-            );
-            assert_eq!(
-                trace_a, trace_b,
-                "Prefetching(Auth(Encrypted(FileStore))) traces must be byte-identical across \
-                 same-shape inputs at N={n} B={b} M={m}"
-            );
-        }
-        (file_ns, prefetch_ns, encfile_ns, enc_prefetch_ns)
-    } else {
-        (0, 0, bucket_encfile_ns, 0)
-    };
-
-    let (naive, naive_levels) = if run_naive {
-        let mut mem = ExtMem::new(b);
-        let h = mem.alloc_array_from_elements(&input);
-        let nrep = naive_external_bitonic_sort(&mut mem, &h, m, SortOrder::Ascending);
-        assert_eq!(
-            mem.snapshot_elements(&h),
-            expected,
-            "naive sort failed at N={n} B={b} M={m}"
-        );
-        (Some(nrep.io), Some(nrep.levels))
-    } else {
-        (None, None)
-    };
-
-    let bound_total = sort_io_bound(n, b, m);
-    let bucket_bound_total = bucket_sort_io_bound(n, b, m);
-    let timings = backends.then_some(SortTimings {
-        lemma2: BackendNanos {
-            extmem_ns: lemma2_extmem_ns,
-            file_ns: lemma2_file_ns,
-            encrypted_file_ns: lemma2_encfile_ns,
-        },
-        bucket: BackendNanos {
-            extmem_ns: bucket_extmem_ns,
-            file_ns: bucket_file_ns,
-            encrypted_file_ns: bucket_encfile_ns,
-        },
-        bucket_prefetch_ns,
-        encrypted_prefetch_ns,
-    });
-    SortBenchResult {
-        point,
-        optimized,
-        report,
-        encrypted: encrypted_io,
-        bucket,
-        bucket_report,
-        bucket_encrypted: bucket_encrypted_io,
-        bucket_bound_total,
-        bucket_within_bound: bucket.total() <= bucket_bound_total,
-        naive,
-        naive_levels,
-        bound_total,
-        within_bound: optimized.total() <= bound_total,
-        timings,
-    }
-}
-
-/// The default grid: `B = 64`, `N ∈ {2^14, 2^16, 2^18}`,
-/// `M ∈ {2^10, 2^13}` — the 3×2 grid the acceptance criteria call for,
-/// including the headline point `(2^18, 64, 2^13)`.
-pub fn default_grid() -> Vec<GridPoint> {
-    let mut grid = Vec::new();
-    for &n in &[1usize << 14, 1 << 16, 1 << 18] {
-        for &m in &[1usize << 10, 1 << 13] {
-            grid.push(GridPoint { n, b: 64, m });
-        }
-    }
-    grid
-}
-
-/// A small smoke grid (`N = 2^12`) cheap enough to run in CI on every push:
-/// exercises the JSON emitters and the bound gates without the full-size
-/// simulation.
-pub fn smoke_grid() -> Vec<GridPoint> {
-    vec![
-        GridPoint {
-            n: 1 << 12,
-            b: 64,
-            m: 1 << 9,
-        },
-        GridPoint {
-            n: 1 << 12,
-            b: 64,
-            m: 1 << 10,
-        },
-    ]
-}
-
-/// The compaction bound `C_c · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)` — one log
-/// factor, not two.
-pub fn compact_io_bound(n: usize, b: usize, m: usize) -> u64 {
-    COMPACT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + ceil_log2_ratio(n, m))
 }
 
 /// Deterministic pseudo-random occupancy (roughly half the cells occupied)
@@ -715,680 +215,706 @@ pub fn bench_occupancy(n: usize, salt: u64) -> Vec<Cell> {
         .collect()
 }
 
-/// Measured result of one compaction grid point.
-#[derive(Clone, Debug)]
-pub struct CompactBenchResult {
-    /// The parameters measured.
-    pub point: GridPoint,
-    /// I/O statistics of the optimized external butterfly compaction.
-    pub optimized: IoStats,
-    /// Structural report of the optimized compaction.
-    pub report: CompactReport,
-    /// I/Os of the identical run over the re-encrypting store (always equal
-    /// to `optimized` — the encryption layer costs zero extra I/Os).
-    pub encrypted: IoStats,
-    /// I/O statistics of the naive full-depth baseline, if it was run.
-    pub naive: Option<IoStats>,
-    /// Levels the naive baseline executed, if it was run.
-    pub naive_levels: Option<usize>,
-    /// The bound `C_c · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)`.
-    pub bound_total: u64,
-    /// Whether the optimized compaction satisfies the bound.
-    pub within_bound: bool,
-    /// Wall-clock timings over `ExtMem`, `FileStore` and
-    /// `Encrypted(FileStore)` — `None` when run I/O-count-only. The
-    /// file-backed trace is asserted byte-identical to `ExtMem` first.
-    pub elapsed: Option<BackendNanos>,
+/// The default grid: `B = 64`, `N ∈ {2^14, 2^16, 2^18}`,
+/// `M ∈ {2^10, 2^13}` — the 3×2 grid the acceptance criteria call for,
+/// including the headline point `(2^18, 64, 2^13)`.
+pub fn default_grid() -> Vec<GridPoint> {
+    let mut grid = Vec::new();
+    for &n in &[1usize << 14, 1 << 16, 1 << 18] {
+        for &m in &[1usize << 10, 1 << 13] {
+            grid.push(GridPoint { n, b: 64, m });
+        }
+    }
+    grid
 }
 
-impl CompactBenchResult {
-    /// Naive-over-optimized I/O ratio, if the naive baseline was run.
-    pub fn speedup(&self) -> Option<f64> {
-        self.naive
-            .map(|n| n.total() as f64 / self.optimized.total().max(1) as f64)
+/// A small smoke grid (`N = 2^12`) cheap enough to run in CI on every push:
+/// exercises the JSON emitter and the bound gates without the full-size
+/// simulation.
+pub fn smoke_grid() -> Vec<GridPoint> {
+    vec![
+        GridPoint {
+            n: 1 << 12,
+            b: 64,
+            m: 1 << 9,
+        },
+        GridPoint {
+            n: 1 << 12,
+            b: 64,
+            m: 1 << 10,
+        },
+    ]
+}
+
+/// The `{"extmem", "file", "encrypted_file"}` nanoseconds of one sweep (the
+/// fastest run of each lane), or `null` when the file lanes did not run.
+fn backend_ns(reference_ns: u64, runs: &[(Lane, u64)]) -> Value {
+    match (
+        fastest(runs, Lane::File),
+        fastest(runs, Lane::EncryptedFile),
+    ) {
+        (Some(file), Some(encrypted_file)) => Record::new()
+            .with("extmem", reference_ns)
+            .with("file", file)
+            .with("encrypted_file", encrypted_file)
+            .into(),
+        _ => Value::Null,
     }
 }
 
-/// One timed run of the butterfly compaction over a re-encrypting store with
-/// any backing: asserts the compacted output and returns the I/O count and
-/// the elapsed time.
-fn run_encrypted_compact<S: extmem::BackingStore>(
-    mut enc: EncryptedStore<S>,
-    cells: &[Cell],
-    m: usize,
-    expected: &[Cell],
-) -> (IoStats, u64) {
-    let eh = enc.alloc_array_from_cells(cells);
-    let (ereport, ns) = timed(|| compact(&mut enc, &eh, m));
-    assert_eq!(
-        enc.snapshot_cells(&eh),
-        expected,
-        "encrypted compaction failed"
-    );
-    (ereport.io, ns)
+/// `elapsed_ns` (see [`backend_ns`]), followed by `file_trace_identical`
+/// when the file lanes ran: the sweep asserted their traces first.
+fn elapsed_fields(reference_ns: u64, runs: &[(Lane, u64)]) -> Record {
+    let elapsed = backend_ns(reference_ns, runs);
+    let timed = !matches!(elapsed, Value::Null);
+    let r = Record::new().with("elapsed_ns", elapsed);
+    if timed {
+        r.with("file_trace_identical", true)
+    } else {
+        r
+    }
 }
 
-/// Measures one compaction grid point: the optimized butterfly compaction on
-/// a plain arena, the identical run over an [`EncryptedStore`] (asserting
-/// equal I/O counts and equal output), optionally the naive full-depth
-/// baseline, and — when `backends` is set — timed runs over `FileStore`
-/// (trace asserted byte-identical to `ExtMem`) and `Encrypted(FileStore)`.
-/// Panics if any of them mis-compacts — a benchmark of a wrong algorithm is
-/// meaningless.
-pub fn run_compact_point(point: GridPoint, run_naive: bool, backends: bool) -> CompactBenchResult {
+/// The naive baseline's total, levels and speedup over `optimized`, or a
+/// lone `naive_total: null` when it did not run.
+fn naive_fields(naive: Option<(IoStats, usize)>, optimized: IoStats) -> Record {
+    match naive {
+        Some((io, levels)) => Record::new()
+            .with("naive_total", io.total())
+            .with("naive_levels", levels)
+            .with(
+                "speedup_vs_naive",
+                Value::Fixed(io.total() as f64 / optimized.total().max(1) as f64, 2),
+            ),
+        None => Record::new().with("naive_total", Value::Null),
+    }
+}
+
+fn at(r: &Record) -> String {
+    format!("N={} B={} M={}", r.u64("n"), r.u64("b"), r.u64("m"))
+}
+
+fn is_headline(r: &Record) -> bool {
+    (r.u64("n"), r.u64("b"), r.u64("m"))
+        == (HEADLINE.n as u64, HEADLINE.b as u64, HEADLINE.m as u64)
+}
+
+/// The `<WHAT> BOUND VIOLATION` gate of one record, whose flag, measured
+/// total and bound sit under `<prefix>within_bound`, `total` and
+/// `<prefix>bound_total`.
+fn bound_gate(r: &Record, what: &str, prefix: &str, total: &str) -> Option<String> {
+    (!r.flag(&format!("{prefix}within_bound"))).then(|| {
+        format!(
+            "{what} BOUND VIOLATION at {}: {} > {}",
+            at(r),
+            r.u64(total),
+            r.u64(&format!("{prefix}bound_total"))
+        )
+    })
+}
+
+fn int(r: &Record, key: &str) -> String {
+    r.u64(key).to_string()
+}
+
+fn int_or_dash(r: &Record, key: &str) -> String {
+    r.opt_u64(key).map_or_else(|| "-".into(), |x| x.to_string())
+}
+
+fn ratio(r: &Record, key: &str) -> String {
+    r.f64(key)
+        .map_or_else(|| "-".into(), |x| format!("{x:.2}x"))
+}
+
+fn ms_of(r: &Record, key: &str, lane: &str) -> String {
+    fmt_ms(r.rec(key).map(|t| t.u64(lane)))
+}
+
+fn yes_no(ok: bool) -> String {
+    (if ok { "yes" } else { "NO" }).into()
+}
+
+// ---------------------------------------------------------------------------
+// The array primitives: sort, compaction, selection
+// ---------------------------------------------------------------------------
+
+/// One array primitive run on one fixed input.
+struct ArrayJob<'a> {
+    what: String,
+    input: &'a [Cell],
+    m: usize,
+    op: Op<'a>,
+}
+
+/// What an [`ArrayJob`] runs, and the result it must produce.
+enum Op<'a> {
+    /// The Lemma 2 sort, or the bucket sort with its config.
+    Sort(Option<BucketSortConfig>, &'a [Cell]),
+    /// The §3 compaction.
+    Compact(&'a [Cell]),
+    /// The §4 selection of rank `k`.
+    Select(usize, Element),
+}
+
+/// An [`ArrayJob`]'s array, and the element a selection returned.
+type ArrayState = (ArrayHandle, Option<Element>);
+
+impl Workload for ArrayJob<'_> {
+    type State = ArrayState;
+
+    fn what(&self) -> &str {
+        &self.what
+    }
+
+    fn load<S: BlockStore>(&self, s: &mut S) -> Self::State {
+        (load_cells(s, self.input), None)
+    }
+
+    fn run<S: BlockStore>(&self, s: &mut S, st: &mut Self::State) -> (IoStats, Record) {
+        let (h, m) = (&st.0, self.m);
+        match &self.op {
+            Op::Sort(None, _) => {
+                let rep = external_oblivious_sort(s, h, m, SortOrder::Ascending);
+                let fields = Record::new()
+                    .with("region_elems", rep.region_elems)
+                    .with("external_levels", rep.external_levels)
+                    .with("finish_passes", rep.finish_passes);
+                (rep.io, fields)
+            }
+            Op::Sort(Some(cfg), _) => {
+                let rep = bucket_oblivious_sort(s, h, m, SortOrder::Ascending, cfg)
+                    .unwrap_or_else(|e| panic!("{} failed: {e}", self.what));
+                let fields = Record::new()
+                    .with("bucket_z", rep.z)
+                    .with("bucket_levels", rep.levels)
+                    .with("bucket_superlevels", rep.superlevels)
+                    .with("bucket_merge_passes", rep.merge_passes);
+                (rep.io, fields)
+            }
+            Op::Compact(_) => {
+                let rep = compact(s, h, m);
+                let fields = Record::new()
+                    .with("window_elems", rep.window_elems)
+                    .with("in_cache_levels", rep.in_cache_levels)
+                    .with("external_levels", rep.external_levels)
+                    .with("occupied", rep.occupied);
+                (rep.io, fields)
+            }
+            Op::Select(k, _) => {
+                let (got, rep) = select_kth(s, h, m, *k);
+                st.1 = Some(got);
+                let fields = Record::new()
+                    .with("rounds", rep.rounds)
+                    .with("chunk_elems", rep.chunk_elems)
+                    .with("final_window", rep.final_window);
+                (rep.io, fields)
+            }
+        }
+    }
+
+    fn check<S: BlockStore>(&self, s: &mut S, st: &Self::State) -> bool {
+        match self.op {
+            Op::Sort(_, expected) | Op::Compact(expected) => {
+                let got = s.try_load_span(&st.0, 0, self.input.len());
+                got.unwrap_or_else(|e| panic!("reading the result back failed: {e}")) == expected
+            }
+            Op::Select(_, expected) => st.1 == Some(expected),
+        }
+    }
+}
+
+/// The lanes of the Lemma 2, compaction and selection sweeps: the encrypting
+/// store — over a real file, beside a plain `FileStore` lane, with
+/// `all_lanes`.
+fn encrypted_lanes(all_lanes: bool) -> &'static [Lane] {
+    if all_lanes {
+        &[Lane::EncryptedFile, Lane::File]
+    } else {
+        &[Lane::Encrypted]
+    }
+}
+
+/// Measures one sort grid point: the Lemma 2 and bucket engines over
+/// `ExtMem`, each replayed over the encrypting store (zero extra I/Os and a
+/// byte-identical trace asserted). With `all_lanes` the Lemma 2 sort also
+/// runs over `FileStore` and `Encrypted(FileStore)`, the bucket sort over
+/// `FileStore`, `Prefetching(FileStore)`, `Encrypted(FileStore)` and
+/// `Prefetching(Encrypted(FileStore))`, the full
+/// `Prefetching(Auth(Encrypted(FileStore)))` stack is probed for data
+/// independence, and the naive full-depth baseline runs. Panics if any run
+/// mis-sorts — a benchmark of a wrong algorithm is meaningless.
+pub fn run_sort_point(point: GridPoint, all_lanes: bool) -> Record {
+    let GridPoint { n, b, m } = point;
+    let input: Vec<Cell> = bench_input(n, 0xB0B).into_iter().map(Some).collect();
+    let mut expected = input.clone();
+    expected.sort_unstable();
+
+    let lemma2 = ArrayJob {
+        what: format!("Lemma 2 sort at {point:?}"),
+        input: &input,
+        m,
+        op: Op::Sort(None, &expected),
+    };
+    let (l2, l2_runs) = sweep(&lemma2, encrypted_lanes(all_lanes), 1, b, 0x50F7);
+
+    // The bucket engine, seeded so every lane replays the same trace. Its
+    // two wall-clock-gated pairs (plain vs prefetching file, encrypted vs
+    // prefetching encrypted file) take the minimum of WALL_CLOCK_REPS runs
+    // INTERLEAVED (plain, prefetch, plain, prefetch, ...) so both sides
+    // sample the same noise windows — VM clock drift across a bench run is
+    // larger than the margin under test, so back-to-back batches would
+    // compare different weather, not different backends. The logical work
+    // is identical across repetitions (asserted by the sweep), so the
+    // minimum is the cleanest estimate of each backend's intrinsic cost.
+    const WALL_CLOCK_REPS: usize = 5;
+    let bucket = ArrayJob {
+        what: format!("bucket sort at {point:?}"),
+        op: Op::Sort(Some(BucketSortConfig::seeded(BUCKET_SORT_SEED)), &expected),
+        ..lemma2
+    };
+    use Lane::{EncryptedFile, EncryptedPrefetch, File, Prefetch};
+    let (bucket_lanes, reps): (&[Lane], usize) = if all_lanes {
+        (
+            &[File, Prefetch, EncryptedFile, EncryptedPrefetch],
+            WALL_CLOCK_REPS,
+        )
+    } else {
+        (&[Lane::Encrypted], 1)
+    };
+    let (bk, bucket_runs) = sweep(&bucket, bucket_lanes, reps, b, 0x50F8);
+
+    if all_lanes {
+        full_stack_probe(point, &input, &expected);
+    }
+    let naive = all_lanes.then(|| {
+        let mut mem = ExtMem::new(b);
+        let h = mem.alloc_array_from_cells(&input);
+        let rep = naive_external_bitonic_sort(&mut mem, &h, m, SortOrder::Ascending);
+        assert!(
+            mem.snapshot_cells(&h) == expected,
+            "naive sort failed at {point:?}"
+        );
+        (rep.io, rep.levels)
+    });
+
+    // Every swept lane was asserted to count the reference's I/Os, so the
+    // encrypted totals are the reference's.
+    let bound_total = sort_io_bound(n, b, m);
+    let bucket_bound_total = bucket_sort_io_bound(n, b, m);
+    let mut r = Record::new()
+        .with("n", n)
+        .with("b", b)
+        .with("m", m)
+        .with("optimized_reads", l2.io.reads)
+        .with("optimized_writes", l2.io.writes)
+        .with("optimized_total", l2.io.total())
+        .with("encrypted_total", l2.io.total())
+        .with("lemma2_elapsed_ns", backend_ns(l2.ns, &l2_runs))
+        .with("bucket_elapsed_ns", backend_ns(bk.ns, &bucket_runs))
+        .with("bucket_prefetch_ns", fastest(&bucket_runs, Lane::Prefetch))
+        .with(
+            "encrypted_prefetch_ns",
+            fastest(&bucket_runs, Lane::EncryptedPrefetch),
+        );
+    if all_lanes {
+        r.push("file_trace_identical", true);
+    }
+    r.append(l2.report)
+        .with("bucket_reads", bk.io.reads)
+        .with("bucket_writes", bk.io.writes)
+        .with("bucket_total", bk.io.total())
+        .with("bucket_encrypted_total", bk.io.total())
+        .append(bk.report)
+        .with("bucket_bound_total", bucket_bound_total)
+        .with("bucket_within_bound", bk.io.total() <= bucket_bound_total)
+        .with(
+            "bucket_speedup_vs_lemma2",
+            Value::Fixed(l2.io.total() as f64 / bk.io.total().max(1) as f64, 2),
+        )
+        .with("bucket_gate_applies", n >= 4 * m)
+        .with("bound_total", bound_total)
+        .append(naive_fields(naive, l2.io))
+        .with("within_bound", l2.io.total() <= bound_total)
+}
+
+/// Full-stack obliviousness: a sort through
+/// `Prefetching(Auth(Encrypted(FileStore)))` — spans MACed as a batch on
+/// write, verified ahead on worker threads. The auth layer interleaves MAC
+/// arrays into the address space, so its layout (and hence its trace)
+/// cannot be compared to ExtMem's; instead the logical trace is asserted
+/// *data-independent*: two different same-shape inputs must produce
+/// byte-identical traces and I/Os. The Lemma 2 engine is the right probe —
+/// its trace is a function of shape alone, while the bucket engine's is a
+/// deterministic function of (shape, seed, data).
+fn full_stack_probe(point: GridPoint, input: &[Cell], expected: &[Cell]) {
+    let other: Vec<Cell> = bench_input(point.n, 0xB0C).into_iter().map(Some).collect();
+    let mut other_sorted = other.clone();
+    other_sorted.sort_unstable();
+    let runs = [(input, expected), (&other, &other_sorted)].map(|(input, expected)| {
+        let probe = ArrayJob {
+            what: format!("full-stack sort at {point:?}"),
+            input,
+            m: point.m,
+            op: Op::Sort(None, expected),
+        };
+        run_lane(&probe, Lane::FullStack, point.b, 0x50F8)
+    });
+    assert_eq!(
+        runs[0].io, runs[1].io,
+        "full-stack I/O counts must be input-independent at {point:?}"
+    );
+    assert!(
+        runs[0].trace == runs[1].trace,
+        "Prefetching(Auth(Encrypted(FileStore))) traces must be byte-identical across \
+         same-shape inputs at {point:?}"
+    );
+}
+
+/// The sort family: the Lemma 2 and bucket engines head-to-head.
+pub struct SortBench;
+
+impl Family for SortBench {
+    const NAME: &'static str = "sort";
+    const COLUMNS: &'static [Column] = &[
+        ("N", 8, |r| int(r, "n")),
+        ("B", 4, |r| int(r, "b")),
+        ("M", 6, |r| int(r, "m")),
+        ("opt I/Os", 12, |r| int(r, "optimized_total")),
+        ("bkt I/Os", 12, |r| int(r, "bucket_total")),
+        ("naive I/Os", 12, |r| int_or_dash(r, "naive_total")),
+        ("bkt bound", 12, |r| int(r, "bucket_bound_total")),
+        ("bkt/L2", 8, |r| ratio(r, "bucket_speedup_vs_lemma2")),
+        ("speedup", 8, |r| ratio(r, "speedup_vs_naive")),
+        ("file ms", 8, |r| ms_of(r, "bucket_elapsed_ns", "file")),
+        ("pf ms", 8, |r| fmt_ms(r.opt_u64("bucket_prefetch_ns"))),
+        ("ok", 6, |r| {
+            yes_no(
+                r.flag("within_bound")
+                    && r.flag("bucket_within_bound")
+                    && (!r.flag("bucket_gate_applies")
+                        || r.u64("bucket_total") < r.u64("optimized_total")),
+            )
+        }),
+    ];
+    type Point = GridPoint;
+
+    fn grid(smoke: bool) -> Vec<GridPoint> {
+        if smoke {
+            smoke_grid()
+        } else {
+            default_grid()
+        }
+    }
+
+    fn run(point: GridPoint, all_lanes: bool) -> Vec<Record> {
+        vec![run_sort_point(point, all_lanes)]
+    }
+
+    fn header() -> Record {
+        Record::new()
+            .with("benchmark", "external_oblivious_sort")
+            .with("io_model", IO_MODEL)
+            .with("bound", "C * ceil(N/B) * (1 + ceil(log2(ceil(N/M)))^2)")
+            .with("bound_constant", BOUND_CONSTANT)
+            .with(
+                "bucket_bound",
+                "C_k * ceil(N/B) * max(1, ceil(log_{M/B}(N/B)))",
+            )
+            .with("bucket_bound_constant", BUCKET_BOUND_CONSTANT)
+            .with("bucket_seed", BUCKET_SORT_SEED)
+    }
+
+    fn gates(rows: &[Record], wall_clock_gate: bool) -> Vec<String> {
+        let mut violations = Vec::new();
+        for r in rows {
+            violations.extend(bound_gate(r, "SORT", "", "optimized_total"));
+            violations.extend(bound_gate(r, "BUCKET", "bucket_", "bucket_total"));
+            let (bucket, lemma2) = (r.u64("bucket_total"), r.u64("optimized_total"));
+            if r.flag("bucket_gate_applies") && bucket >= lemma2 {
+                violations.push(format!(
+                    "BUCKET REGRESSION at {} (N/M >= 4): bucket {bucket} >= Lemma 2 {lemma2}",
+                    at(r)
+                ));
+            }
+        }
+        let Some(r) = rows.iter().find(|r| is_headline(r)) else {
+            return violations;
+        };
+        let (lemma2, bucket) = (r.u64("optimized_total"), r.u64("bucket_total"));
+        let speedup = r.f64("speedup_vs_naive").unwrap_or(0.0);
+        println!(
+            "sort headline (N=2^18, B=64, M=2^13): {lemma2} I/Os vs naive {} — {speedup:.2}x",
+            r.opt_u64("naive_total").unwrap_or(0)
+        );
+        if speedup < 3.0 {
+            violations.push(format!(
+                "SORT HEADLINE REGRESSION: speedup {speedup:.2}x < 3x"
+            ));
+        }
+        println!(
+            "bucket headline (N=2^18, B=64, M=2^13): {bucket} I/Os vs Lemma 2 {lemma2} — {:.2}x \
+             fewer, bound {}",
+            r.f64("bucket_speedup_vs_lemma2").unwrap_or(0.0),
+            r.u64("bucket_bound_total")
+        );
+        if bucket >= lemma2 {
+            violations.push(format!(
+                "BUCKET HEADLINE REGRESSION: bucket {bucket} >= Lemma 2 {lemma2}"
+            ));
+        }
+        // The wall-clock headlines: shape-derived read-ahead must beat the
+        // plain file store's synchronous loads on the bucket sort, and
+        // decrypt-ahead workers plus the batched keystream span path must
+        // beat synchronous decrypt-on-load over the same encrypted file.
+        // Only the full grid has the headline point — timing on the
+        // N=2^12 smoke grid is all fixed costs.
+        let Some(t) = r.rec("bucket_elapsed_ns") else {
+            return violations;
+        };
+        let file = ("FileStore", t.u64("file"));
+        let pf = ("PrefetchingStore<FileStore>", r.u64("bucket_prefetch_ns"));
+        violations.extend(prefetch_gate("PREFETCH", file, pf, wall_clock_gate));
+        let enc = ("Encrypted(FileStore)", t.u64("encrypted_file"));
+        let epf_ns = r.u64("encrypted_prefetch_ns");
+        let epf = ("Prefetching(Encrypted(FileStore))", epf_ns);
+        let hard = wall_clock_gate;
+        violations.extend(prefetch_gate("ENCRYPTED PREFETCH", enc, epf, hard));
+        violations
+    }
+}
+
+/// One wall-clock headline: prints the plain store's time against the
+/// prefetching store's (each a name and nanoseconds) and returns the
+/// `<gate> HEADLINE REGRESSION` unless the prefetching store is faster — or,
+/// with `hard` unset, prints it as advisory instead.
+fn prefetch_gate(
+    gate: &str,
+    (plain, plain_ns): (&str, u64),
+    (prefetching, prefetch_ns): (&str, u64),
+    hard: bool,
+) -> Option<String> {
+    let (plain_ms, prefetch_ms) = (plain_ns as f64 / 1e6, prefetch_ns as f64 / 1e6);
+    println!(
+        "wall-clock headline (N=2^18, B=64, M=2^13, bucket): {plain} {plain_ms:.1} ms vs \
+         {prefetching} {prefetch_ms:.1} ms — {:.2}x",
+        plain_ms / prefetch_ms.max(1e-9)
+    );
+    if prefetch_ns < plain_ns {
+        return None;
+    }
+    let msg = format!(
+        "{gate} HEADLINE REGRESSION: {prefetching} {prefetch_ms:.1} ms >= {plain} \
+         {plain_ms:.1} ms on the bucket sort"
+    );
+    if !hard {
+        eprintln!("{msg}\n(wall-clock gate disabled by --no-wall-clock-gate; not failing)");
+        return None;
+    }
+    Some(msg)
+}
+
+/// Measures one compaction grid point: the butterfly compaction over
+/// `ExtMem`, replayed over the encrypting store; with `all_lanes` that
+/// replay is file-backed, a plain `FileStore` lane joins it, and the naive
+/// full-depth baseline runs. Panics if any run mis-compacts.
+pub fn run_compact_point(point: GridPoint, all_lanes: bool) -> Record {
     let GridPoint { n, b, m } = point;
     let cells = bench_occupancy(n, 0xC0);
     let mut expected: Vec<Cell> = cells.iter().filter(|c| c.is_some()).copied().collect();
     expected.resize(n, None);
-
-    let mut mem = ExtMem::with_trace(b);
-    let h = mem.alloc_array_from_cells(&cells);
-    let (report, extmem_ns) = timed(|| compact(&mut mem, &h, m));
-    assert_eq!(
-        mem.snapshot_cells(&h),
-        expected,
-        "optimized compaction failed at N={n} B={b} M={m}"
-    );
-    let optimized = report.io;
-    let trace = mem.take_trace().expect("tracing was enabled");
-
-    // The same algorithm over the re-encrypting store: every block is
-    // decrypted on read and re-encrypted (fresh nonce) on write, yet the I/O
-    // count and the address trace are identical. In the backend sweep the
-    // ciphertext lives in a real file.
-    let (encrypted_io, encrypted_file_ns) = if backends {
-        let fs = FileStore::temp(b).expect("tempdir-backed block file");
-        run_encrypted_compact(
-            EncryptedStore::with_backing(fs, 0x0D0_5EC),
-            &cells,
-            m,
-            &expected,
-        )
-    } else {
-        run_encrypted_compact(EncryptedStore::new(b, 0x0D0_5EC), &cells, m, &expected)
+    let job = ArrayJob {
+        what: format!("compaction at {point:?}"),
+        input: &cells,
+        m,
+        op: Op::Compact(&expected),
     };
-    assert_eq!(
-        encrypted_io, optimized,
-        "the encryption layer must add zero I/Os"
-    );
-
-    // The plain file-backed run, its trace checked against the simulator's.
-    let file_ns = if backends {
-        let mut fs = FileStore::temp(b).expect("tempdir-backed block file");
-        let fh = fs.alloc_array_from_cells(&cells);
-        fs.enable_trace();
-        let (frep, ns) = timed(|| compact(&mut fs, &fh, m));
-        assert_eq!(
-            fs.snapshot_cells(&fh),
-            expected,
-            "file-backed compaction failed at N={n} B={b} M={m}"
-        );
-        assert_eq!(frep.io, optimized, "file-backed compaction I/Os diverged");
-        let ftrace = fs.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            ftrace, trace,
-            "FileStore compaction trace must be byte-identical to ExtMem at N={n} B={b} M={m}"
-        );
-        ns
-    } else {
-        0
-    };
-
-    let (naive, naive_levels) = if run_naive {
+    let (reference, runs) = sweep(&job, encrypted_lanes(all_lanes), 1, b, 0x0D0_5EC);
+    let naive = all_lanes.then(|| {
         let mut mem = ExtMem::new(b);
         let h = mem.alloc_array_from_cells(&cells);
-        let nrep = naive_external_butterfly_compact(&mut mem, &h, m);
-        assert_eq!(
-            mem.snapshot_cells(&h),
-            expected,
-            "naive compaction failed at N={n} B={b} M={m}"
+        let rep = naive_external_butterfly_compact(&mut mem, &h, m);
+        assert!(
+            mem.snapshot_cells(&h) == expected,
+            "naive compaction failed at {point:?}"
         );
-        (Some(nrep.io), Some(nrep.levels))
-    } else {
-        (None, None)
-    };
-
+        (rep.io, rep.levels)
+    });
+    let head = Record::new().with("n", n).with("b", b).with("m", m);
     let bound_total = compact_io_bound(n, b, m);
-    CompactBenchResult {
-        point,
-        optimized,
-        report,
-        encrypted: encrypted_io,
-        naive,
-        naive_levels,
-        bound_total,
-        within_bound: optimized.total() <= bound_total,
-        elapsed: backends.then_some(BackendNanos {
-            extmem_ns,
-            file_ns,
-            encrypted_file_ns,
-        }),
+    single_log_record(head, Record::new(), reference, &runs, bound_total, naive)
+}
+
+/// The compaction and selection record: the leading fields `head`, the
+/// optimized I/Os (the encrypted replay was asserted equal), the fields
+/// `mid`, the wall clocks, the primitive's report fields, the bound and the
+/// naive baseline.
+fn single_log_record(
+    head: Record,
+    mid: Record,
+    reference: LaneRun<ArrayState>,
+    runs: &[(Lane, u64)],
+    bound_total: u64,
+    naive: Option<(IoStats, usize)>,
+) -> Record {
+    let io = reference.io;
+    head.with("optimized_reads", io.reads)
+        .with("optimized_writes", io.writes)
+        .with("optimized_total", io.total())
+        .with("encrypted_total", io.total())
+        .append(mid)
+        .append(elapsed_fields(reference.ns, runs))
+        .append(reference.report)
+        .with("bound_total", bound_total)
+        .append(naive_fields(naive, io))
+        .with("within_bound", io.total() <= bound_total)
+}
+
+/// Columns of the compaction and selection tables.
+const SINGLE_LOG_COLUMNS: &[Column] = &[
+    ("N", 8, |r| int(r, "n")),
+    ("B", 4, |r| int(r, "b")),
+    ("M", 6, |r| int(r, "m")),
+    ("opt I/Os", 12, |r| int(r, "optimized_total")),
+    ("naive I/Os", 12, |r| int_or_dash(r, "naive_total")),
+    ("bound", 12, |r| int(r, "bound_total")),
+    ("speedup", 8, |r| ratio(r, "speedup_vs_naive")),
+    ("file ms", 8, |r| ms_of(r, "elapsed_ns", "file")),
+    ("encf ms", 8, |r| ms_of(r, "elapsed_ns", "encrypted_file")),
+    ("ok", 6, |r| yes_no(r.flag("within_bound"))),
+];
+
+/// The compaction and selection gates: every point within its bound and
+/// beating `naive`; prints the headline as `label` and returns its speedup.
+fn single_log_gates(rows: &[Record], what: &str, naive: &str, label: &str) -> (Vec<String>, f64) {
+    let mut violations = Vec::new();
+    for r in rows {
+        violations.extend(bound_gate(r, what, "", "optimized_total"));
+        if r.f64("speedup_vs_naive").is_some_and(|s| s <= 1.0) {
+            violations.push(format!(
+                "{what} REGRESSION at {}: {naive} is not beaten ({:?} vs {})",
+                at(r),
+                r.opt_u64("naive_total"),
+                r.u64("optimized_total")
+            ));
+        }
+    }
+    let Some(r) = rows.iter().find(|r| is_headline(r)) else {
+        return (violations, f64::INFINITY);
+    };
+    let speedup = r.f64("speedup_vs_naive").unwrap_or(0.0);
+    println!(
+        "{label}: {} I/Os vs naive {} — {speedup:.2}x",
+        r.u64("optimized_total"),
+        r.opt_u64("naive_total").unwrap_or(0)
+    );
+    (violations, speedup)
+}
+
+/// The compaction family: the §3 butterfly against the full-depth baseline.
+pub struct CompactBench;
+
+impl Family for CompactBench {
+    const NAME: &'static str = "compact";
+    const COLUMNS: &'static [Column] = SINGLE_LOG_COLUMNS;
+    type Point = GridPoint;
+
+    fn grid(smoke: bool) -> Vec<GridPoint> {
+        SortBench::grid(smoke)
+    }
+
+    fn run(point: GridPoint, all_lanes: bool) -> Vec<Record> {
+        vec![run_compact_point(point, all_lanes)]
+    }
+
+    fn header() -> Record {
+        Record::new()
+            .with("benchmark", "external_butterfly_compaction")
+            .with("io_model", IO_MODEL)
+            .with("bound", "C * ceil(N/B) * (1 + ceil(log2(ceil(N/M))))")
+            .with("bound_constant", COMPACT_BOUND_CONSTANT)
+    }
+
+    fn gates(rows: &[Record], _: bool) -> Vec<String> {
+        let label = "compact headline (N=2^18, B=64, M=2^13)";
+        single_log_gates(rows, "COMPACT", "naive", label).0
     }
 }
 
-/// The selection bound `C_s · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)` — the single-log
-/// form selection inherits from prune-and-compact.
-pub fn select_io_bound(n: usize, b: usize, m: usize) -> u64 {
-    SELECT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + ceil_log2_ratio(n, m))
-}
-
-/// Measured result of one selection grid point.
-#[derive(Clone, Debug)]
-pub struct SelectBenchResult {
-    /// The parameters measured.
-    pub point: GridPoint,
-    /// The rank selected (the median, `k = N/2`).
-    pub k: usize,
-    /// I/O statistics of the optimized external selection.
-    pub optimized: IoStats,
-    /// Structural report of the optimized selection.
-    pub report: SelectReport,
-    /// I/Os of the identical run over the re-encrypting store (always equal
-    /// to `optimized` — the encryption layer costs zero extra I/Os, and
-    /// [`run_select_point`] asserts the traces are byte-identical too).
-    pub encrypted: IoStats,
-    /// I/O statistics of the naive sort-then-index baseline, if it was run.
-    pub naive: Option<IoStats>,
-    /// Levels the naive baseline's full-depth sort executed, if it was run.
-    pub naive_levels: Option<usize>,
-    /// The bound `C_s · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)`.
-    pub bound_total: u64,
-    /// Whether the optimized selection satisfies the bound.
-    pub within_bound: bool,
-    /// Wall-clock timings over `ExtMem`, `FileStore` and
-    /// `Encrypted(FileStore)` — `None` when run I/O-count-only. The
-    /// file-backed trace is asserted byte-identical to `ExtMem` first.
-    pub elapsed: Option<BackendNanos>,
-}
-
-impl SelectBenchResult {
-    /// Naive-over-optimized I/O ratio, if the naive baseline was run.
-    pub fn speedup(&self) -> Option<f64> {
-        self.naive
-            .map(|n| n.total() as f64 / self.optimized.total().max(1) as f64)
-    }
-}
-
-/// Measures one selection grid point at `k = N/2` (the median): the optimized
-/// selection on a plain arena with its trace captured, the identical run over
-/// an [`EncryptedStore`] (asserting an equal result, equal I/O counts **and a
-/// byte-identical access trace**), and optionally the naive sort-then-index
-/// baseline. When `backends` is set the encrypted run is file-backed and a
-/// plain `FileStore` run is added, both timed, the file trace asserted
-/// byte-identical to `ExtMem`. Panics if any of them mis-selects — a
-/// benchmark of a wrong algorithm is meaningless.
-pub fn run_select_point(point: GridPoint, run_naive: bool, backends: bool) -> SelectBenchResult {
+/// Measures one selection grid point at `k = N/2` (the median): the
+/// selection over `ExtMem`, replayed over the encrypting store with a
+/// byte-identical trace asserted (the trace hides the data and `k`); with
+/// `all_lanes` that replay is file-backed, a plain `FileStore` lane joins
+/// it, and the naive sort-then-index baseline runs. Panics if any run
+/// mis-selects.
+pub fn run_select_point(point: GridPoint, all_lanes: bool) -> Record {
     let GridPoint { n, b, m } = point;
-    let input = bench_input(n, 0x5E1);
+    let elems = bench_input(n, 0x5E1);
     let k = n / 2;
     let mut reference: Vec<(u64, usize)> =
-        input.iter().enumerate().map(|(j, e)| (e.key, j)).collect();
+        elems.iter().enumerate().map(|(j, e)| (e.key, j)).collect();
     reference.sort_unstable();
-    let expected = input[reference[k].1];
-
-    let mut mem = ExtMem::with_trace(b);
-    let h = mem.alloc_array_from_elements(&input);
-    let ((got, report), extmem_ns) = timed(|| select_kth(&mut mem, &h, m, k));
-    let trace = mem.take_trace().expect("trace was enabled");
-    assert_eq!(
-        got, expected,
-        "optimized selection failed at N={n} B={b} M={m}"
-    );
-    let optimized = report.io;
-
-    // The same selection over the re-encrypting store: equal answer, equal
-    // I/O count, and the adversary's view — the address trace — is identical
-    // byte for byte. In the backend sweep the ciphertext lives in a real
-    // file.
-    let ecells: Vec<Cell> = input.iter().copied().map(Some).collect();
-    let (egot, encrypted_io, etrace, encrypted_file_ns) = if backends {
-        let fs = FileStore::temp(b).expect("tempdir-backed block file");
-        let mut enc = EncryptedStore::with_backing(fs, 0x5EC_5E1);
-        let eh = enc.alloc_array_from_cells(&ecells);
-        enc.enable_trace();
-        let ((egot, ereport), ns) = timed(|| select_kth(&mut enc, &eh, m, k));
-        let etrace = enc.take_trace().expect("trace was enabled");
-        (egot, ereport.io, etrace, ns)
-    } else {
-        let mut enc = EncryptedStore::new(b, 0x5EC_5E1);
-        let eh = enc.alloc_array_from_cells(&ecells);
-        enc.enable_trace();
-        let ((egot, ereport), ns) = timed(|| select_kth(&mut enc, &eh, m, k));
-        let etrace = enc.take_trace().expect("trace was enabled");
-        (egot, ereport.io, etrace, ns)
+    let expected = elems[reference[k].1];
+    let input: Vec<Cell> = elems.iter().copied().map(Some).collect();
+    let job = ArrayJob {
+        what: format!("selection at {point:?}"),
+        input: &input,
+        m,
+        op: Op::Select(k, expected),
     };
-    assert_eq!(
-        egot, expected,
-        "encrypted selection failed at N={n} B={b} M={m}"
-    );
-    assert_eq!(
-        encrypted_io, optimized,
-        "the encryption layer must add zero I/Os to selection"
-    );
-    assert_eq!(
-        trace, etrace,
-        "plaintext and encrypted selection traces must be byte-identical at N={n} B={b} M={m}"
-    );
-
-    // The plain file-backed run, its trace checked against the simulator's.
-    let file_ns = if backends {
-        let mut fs = FileStore::temp(b).expect("tempdir-backed block file");
-        let fh = fs.alloc_array_from_elements(&input);
-        fs.enable_trace();
-        let ((fgot, frep), ns) = timed(|| select_kth(&mut fs, &fh, m, k));
-        assert_eq!(
-            fgot, expected,
-            "file-backed selection failed at N={n} B={b} M={m}"
-        );
-        assert_eq!(frep.io, optimized, "file-backed selection I/Os diverged");
-        let ftrace = fs.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            ftrace, trace,
-            "FileStore selection trace must be byte-identical to ExtMem at N={n} B={b} M={m}"
-        );
-        ns
-    } else {
-        0
-    };
-
-    let (naive, naive_levels) = if run_naive {
+    let (reference, runs) = sweep(&job, encrypted_lanes(all_lanes), 1, b, 0x5EC_5E1);
+    let naive = all_lanes.then(|| {
         let mut mem = ExtMem::new(b);
-        let h = mem.alloc_array_from_elements(&input);
-        let (ngot, nrep) = naive_select_kth(&mut mem, &h, m, k);
-        assert_eq!(
-            ngot, expected,
-            "naive selection failed at N={n} B={b} M={m}"
-        );
-        (Some(nrep.io), Some(nrep.levels))
-    } else {
-        (None, None)
-    };
-
+        let h = mem.alloc_array_from_elements(&elems);
+        let (got, rep) = naive_select_kth(&mut mem, &h, m, k);
+        assert_eq!(got, expected, "naive selection failed at {point:?}");
+        (rep.io, rep.levels)
+    });
+    let head = Record::new()
+        .with("n", n)
+        .with("b", b)
+        .with("m", m)
+        .with("k", k);
+    // The sweep asserted the encrypted replay's trace byte-identical.
+    let mid = Record::new().with("encrypted_trace_identical", true);
     let bound_total = select_io_bound(n, b, m);
-    SelectBenchResult {
-        point,
-        k,
-        optimized,
-        report,
-        encrypted: encrypted_io,
-        naive,
-        naive_levels,
-        bound_total,
-        within_bound: optimized.total() <= bound_total,
-        elapsed: backends.then_some(BackendNanos {
-            extmem_ns,
-            file_ns,
-            encrypted_file_ns,
-        }),
-    }
+    single_log_record(head, mid, reference, &runs, bound_total, naive)
 }
 
-/// Emits one point's `"elapsed_ns"` JSON line: a per-backend object when the
-/// wall-clock sweep ran, `null` otherwise. When timings are present the
-/// emitting `run_*_point` has already asserted the file-backed trace is
-/// byte-identical to `ExtMem`, so a `"file_trace_identical": true` line
-/// rides along.
-fn emit_elapsed(s: &mut String, elapsed: Option<&BackendNanos>) {
-    match elapsed {
-        Some(t) => {
-            let _ = writeln!(
-                s,
-                "      \"elapsed_ns\": {{\"extmem\": {}, \"file\": {}, \"encrypted_file\": {}}},",
-                t.extmem_ns, t.file_ns, t.encrypted_file_ns
-            );
-            s.push_str("      \"file_trace_identical\": true,\n");
+/// The selection family: §4 prune-and-compact against sort-then-index.
+pub struct SelectBench;
+
+impl Family for SelectBench {
+    const NAME: &'static str = "select";
+    const COLUMNS: &'static [Column] = SINGLE_LOG_COLUMNS;
+    type Point = GridPoint;
+
+    fn grid(smoke: bool) -> Vec<GridPoint> {
+        SortBench::grid(smoke)
+    }
+
+    fn run(point: GridPoint, all_lanes: bool) -> Vec<Record> {
+        vec![run_select_point(point, all_lanes)]
+    }
+
+    fn header() -> Record {
+        Record::new()
+            .with("benchmark", "external_oblivious_selection")
+            .with("io_model", IO_MODEL)
+            .with("bound", "C * ceil(N/B) * (1 + ceil(log2(ceil(N/M))))")
+            .with("bound_constant", SELECT_BOUND_CONSTANT)
+    }
+
+    fn gates(rows: &[Record], _: bool) -> Vec<String> {
+        let label = "select headline (N=2^18, B=64, M=2^13, k=N/2)";
+        let (mut violations, speedup) =
+            single_log_gates(rows, "SELECT", "naive sort-then-index", label);
+        if speedup < 2.0 {
+            violations.push(format!(
+                "SELECT HEADLINE REGRESSION: speedup {speedup:.2}x < 2x"
+            ));
         }
-        None => s.push_str("      \"elapsed_ns\": null,\n"),
+        violations
     }
-}
-
-/// Renders the selection results as the `BENCH_select.json` document
-/// (hand-rolled JSON; the workspace deliberately has no external
-/// dependencies).
-pub fn select_to_json(results: &[SelectBenchResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"external_oblivious_selection\",\n");
-    s.push_str("  \"io_model\": \"1 I/O per block read or write, ExtMem::stats\",\n");
-    s.push_str("  \"bound\": \"C * ceil(N/B) * (1 + ceil(log2(ceil(N/M))))\",\n");
-    let _ = writeln!(s, "  \"bound_constant\": {SELECT_BOUND_CONSTANT},");
-    s.push_str("  \"points\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let GridPoint { n, b, m } = r.point;
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"n\": {n},");
-        let _ = writeln!(s, "      \"b\": {b},");
-        let _ = writeln!(s, "      \"m\": {m},");
-        let _ = writeln!(s, "      \"k\": {},", r.k);
-        let _ = writeln!(s, "      \"optimized_reads\": {},", r.optimized.reads);
-        let _ = writeln!(s, "      \"optimized_writes\": {},", r.optimized.writes);
-        let _ = writeln!(s, "      \"optimized_total\": {},", r.optimized.total());
-        let _ = writeln!(s, "      \"encrypted_total\": {},", r.encrypted.total());
-        // run_select_point asserts the byte-identical plaintext/encrypted
-        // trace before a result is ever constructed.
-        s.push_str("      \"encrypted_trace_identical\": true,\n");
-        emit_elapsed(&mut s, r.elapsed.as_ref());
-        let _ = writeln!(s, "      \"rounds\": {},", r.report.rounds);
-        let _ = writeln!(s, "      \"chunk_elems\": {},", r.report.chunk_elems);
-        let _ = writeln!(s, "      \"final_window\": {},", r.report.final_window);
-        let _ = writeln!(s, "      \"bound_total\": {},", r.bound_total);
-        match (r.naive, r.naive_levels, r.speedup()) {
-            (Some(naive), Some(levels), Some(speedup)) => {
-                let _ = writeln!(s, "      \"naive_total\": {},", naive.total());
-                let _ = writeln!(s, "      \"naive_levels\": {levels},");
-                let _ = writeln!(s, "      \"speedup_vs_naive\": {speedup:.2},");
-            }
-            _ => {
-                s.push_str("      \"naive_total\": null,\n");
-            }
-        }
-        let _ = writeln!(s, "      \"within_bound\": {}", r.within_bound);
-        s.push_str("    }");
-        s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Renders a human-readable table of the selection results.
-pub fn select_to_table(results: &[SelectBenchResult]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>6}",
-        "N", "B", "M", "opt I/Os", "naive I/Os", "bound", "speedup", "file ms", "encf ms", "ok"
-    );
-    for r in results {
-        let GridPoint { n, b, m } = r.point;
-        let naive = r
-            .naive
-            .map(|x| x.total().to_string())
-            .unwrap_or_else(|| "-".into());
-        let speedup = r
-            .speedup()
-            .map(|x| format!("{x:.2}x"))
-            .unwrap_or_else(|| "-".into());
-        let _ = writeln!(
-            s,
-            "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>6}",
-            n,
-            b,
-            m,
-            r.optimized.total(),
-            naive,
-            r.bound_total,
-            speedup,
-            fmt_ms(r.elapsed.as_ref().map(|t| t.file_ns)),
-            fmt_ms(r.elapsed.as_ref().map(|t| t.encrypted_file_ns)),
-            if r.within_bound { "yes" } else { "NO" }
-        );
-    }
-    s
-}
-
-/// Renders the results as the `BENCH_sort.json` document (hand-rolled JSON;
-/// the workspace deliberately has no external dependencies).
-pub fn to_json(results: &[SortBenchResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"external_oblivious_sort\",\n");
-    s.push_str("  \"io_model\": \"1 I/O per block read or write, ExtMem::stats\",\n");
-    s.push_str("  \"bound\": \"C * ceil(N/B) * (1 + ceil(log2(ceil(N/M)))^2)\",\n");
-    let _ = writeln!(s, "  \"bound_constant\": {BOUND_CONSTANT},");
-    s.push_str("  \"bucket_bound\": \"C_k * ceil(N/B) * max(1, ceil(log_{M/B}(N/B)))\",\n");
-    let _ = writeln!(s, "  \"bucket_bound_constant\": {BUCKET_BOUND_CONSTANT},");
-    let _ = writeln!(s, "  \"bucket_seed\": {BUCKET_SORT_SEED},");
-    s.push_str("  \"points\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let GridPoint { n, b, m } = r.point;
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"n\": {n},");
-        let _ = writeln!(s, "      \"b\": {b},");
-        let _ = writeln!(s, "      \"m\": {m},");
-        let _ = writeln!(s, "      \"optimized_reads\": {},", r.optimized.reads);
-        let _ = writeln!(s, "      \"optimized_writes\": {},", r.optimized.writes);
-        let _ = writeln!(s, "      \"optimized_total\": {},", r.optimized.total());
-        let _ = writeln!(s, "      \"encrypted_total\": {},", r.encrypted.total());
-        match &r.timings {
-            Some(t) => {
-                let _ = writeln!(
-                    s,
-                    "      \"lemma2_elapsed_ns\": {{\"extmem\": {}, \"file\": {}, \"encrypted_file\": {}}},",
-                    t.lemma2.extmem_ns, t.lemma2.file_ns, t.lemma2.encrypted_file_ns
-                );
-                let _ = writeln!(
-                    s,
-                    "      \"bucket_elapsed_ns\": {{\"extmem\": {}, \"file\": {}, \"encrypted_file\": {}}},",
-                    t.bucket.extmem_ns, t.bucket.file_ns, t.bucket.encrypted_file_ns
-                );
-                let _ = writeln!(s, "      \"bucket_prefetch_ns\": {},", t.bucket_prefetch_ns);
-                let _ = writeln!(
-                    s,
-                    "      \"encrypted_prefetch_ns\": {},",
-                    t.encrypted_prefetch_ns
-                );
-                // run_sort_point asserts every file-backed trace is
-                // byte-identical to the ExtMem reference before a timing is
-                // ever recorded.
-                s.push_str("      \"file_trace_identical\": true,\n");
-            }
-            None => {
-                s.push_str("      \"lemma2_elapsed_ns\": null,\n");
-                s.push_str("      \"bucket_elapsed_ns\": null,\n");
-                s.push_str("      \"bucket_prefetch_ns\": null,\n");
-                s.push_str("      \"encrypted_prefetch_ns\": null,\n");
-            }
-        }
-        let _ = writeln!(s, "      \"region_elems\": {},", r.report.region_elems);
-        let _ = writeln!(
-            s,
-            "      \"external_levels\": {},",
-            r.report.external_levels
-        );
-        let _ = writeln!(s, "      \"finish_passes\": {},", r.report.finish_passes);
-        let _ = writeln!(s, "      \"bucket_reads\": {},", r.bucket.reads);
-        let _ = writeln!(s, "      \"bucket_writes\": {},", r.bucket.writes);
-        let _ = writeln!(s, "      \"bucket_total\": {},", r.bucket.total());
-        let _ = writeln!(
-            s,
-            "      \"bucket_encrypted_total\": {},",
-            r.bucket_encrypted.total()
-        );
-        let _ = writeln!(s, "      \"bucket_z\": {},", r.bucket_report.z);
-        let _ = writeln!(s, "      \"bucket_levels\": {},", r.bucket_report.levels);
-        let _ = writeln!(
-            s,
-            "      \"bucket_superlevels\": {},",
-            r.bucket_report.superlevels
-        );
-        let _ = writeln!(
-            s,
-            "      \"bucket_merge_passes\": {},",
-            r.bucket_report.merge_passes
-        );
-        let _ = writeln!(s, "      \"bucket_bound_total\": {},", r.bucket_bound_total);
-        let _ = writeln!(
-            s,
-            "      \"bucket_within_bound\": {},",
-            r.bucket_within_bound
-        );
-        let _ = writeln!(
-            s,
-            "      \"bucket_speedup_vs_lemma2\": {:.2},",
-            r.bucket_speedup_vs_lemma2()
-        );
-        let _ = writeln!(
-            s,
-            "      \"bucket_gate_applies\": {},",
-            r.bucket_gate_applies()
-        );
-        let _ = writeln!(s, "      \"bound_total\": {},", r.bound_total);
-        match (r.naive, r.naive_levels, r.speedup()) {
-            (Some(naive), Some(levels), Some(speedup)) => {
-                let _ = writeln!(s, "      \"naive_total\": {},", naive.total());
-                let _ = writeln!(s, "      \"naive_levels\": {levels},");
-                let _ = writeln!(s, "      \"speedup_vs_naive\": {speedup:.2},");
-            }
-            _ => {
-                s.push_str("      \"naive_total\": null,\n");
-            }
-        }
-        let _ = writeln!(s, "      \"within_bound\": {}", r.within_bound);
-        s.push_str("    }");
-        s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Renders the compaction results as the `BENCH_compact.json` document
-/// (hand-rolled JSON; the workspace deliberately has no external
-/// dependencies).
-pub fn compact_to_json(results: &[CompactBenchResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"external_butterfly_compaction\",\n");
-    s.push_str("  \"io_model\": \"1 I/O per block read or write, ExtMem::stats\",\n");
-    s.push_str("  \"bound\": \"C * ceil(N/B) * (1 + ceil(log2(ceil(N/M))))\",\n");
-    let _ = writeln!(s, "  \"bound_constant\": {COMPACT_BOUND_CONSTANT},");
-    s.push_str("  \"points\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let GridPoint { n, b, m } = r.point;
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"n\": {n},");
-        let _ = writeln!(s, "      \"b\": {b},");
-        let _ = writeln!(s, "      \"m\": {m},");
-        let _ = writeln!(s, "      \"optimized_reads\": {},", r.optimized.reads);
-        let _ = writeln!(s, "      \"optimized_writes\": {},", r.optimized.writes);
-        let _ = writeln!(s, "      \"optimized_total\": {},", r.optimized.total());
-        let _ = writeln!(s, "      \"encrypted_total\": {},", r.encrypted.total());
-        emit_elapsed(&mut s, r.elapsed.as_ref());
-        let _ = writeln!(s, "      \"window_elems\": {},", r.report.window_elems);
-        let _ = writeln!(
-            s,
-            "      \"in_cache_levels\": {},",
-            r.report.in_cache_levels
-        );
-        let _ = writeln!(
-            s,
-            "      \"external_levels\": {},",
-            r.report.external_levels
-        );
-        let _ = writeln!(s, "      \"occupied\": {},", r.report.occupied);
-        let _ = writeln!(s, "      \"bound_total\": {},", r.bound_total);
-        match (r.naive, r.naive_levels, r.speedup()) {
-            (Some(naive), Some(levels), Some(speedup)) => {
-                let _ = writeln!(s, "      \"naive_total\": {},", naive.total());
-                let _ = writeln!(s, "      \"naive_levels\": {levels},");
-                let _ = writeln!(s, "      \"speedup_vs_naive\": {speedup:.2},");
-            }
-            _ => {
-                s.push_str("      \"naive_total\": null,\n");
-            }
-        }
-        let _ = writeln!(s, "      \"within_bound\": {}", r.within_bound);
-        s.push_str("    }");
-        s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Renders a human-readable table of the compaction results.
-pub fn compact_to_table(results: &[CompactBenchResult]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>6}",
-        "N", "B", "M", "opt I/Os", "naive I/Os", "bound", "speedup", "file ms", "encf ms", "ok"
-    );
-    for r in results {
-        let GridPoint { n, b, m } = r.point;
-        let naive = r
-            .naive
-            .map(|x| x.total().to_string())
-            .unwrap_or_else(|| "-".into());
-        let speedup = r
-            .speedup()
-            .map(|x| format!("{x:.2}x"))
-            .unwrap_or_else(|| "-".into());
-        let _ = writeln!(
-            s,
-            "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>6}",
-            n,
-            b,
-            m,
-            r.optimized.total(),
-            naive,
-            r.bound_total,
-            speedup,
-            fmt_ms(r.elapsed.as_ref().map(|t| t.file_ns)),
-            fmt_ms(r.elapsed.as_ref().map(|t| t.encrypted_file_ns)),
-            if r.within_bound { "yes" } else { "NO" }
-        );
-    }
-    s
-}
-
-/// Formats nanoseconds as milliseconds with one decimal, `"-"` for a timing
-/// that was not measured.
-fn fmt_ms(ns: Option<u64>) -> String {
-    match ns {
-        Some(ns) => format!("{:.1}", ns as f64 / 1e6),
-        None => "-".into(),
-    }
-}
-
-/// Renders a human-readable table of the results for terminal output.
-pub fn to_table(results: &[SortBenchResult]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>8} {:>6}",
-        "N",
-        "B",
-        "M",
-        "opt I/Os",
-        "bkt I/Os",
-        "naive I/Os",
-        "bkt bound",
-        "bkt/L2",
-        "speedup",
-        "file ms",
-        "pf ms",
-        "ok"
-    );
-    for r in results {
-        let GridPoint { n, b, m } = r.point;
-        let naive = r
-            .naive
-            .map(|x| x.total().to_string())
-            .unwrap_or_else(|| "-".into());
-        let speedup = r
-            .speedup()
-            .map(|x| format!("{x:.2}x"))
-            .unwrap_or_else(|| "-".into());
-        let ok = r.within_bound
-            && r.bucket_within_bound
-            && (!r.bucket_gate_applies() || r.bucket.total() < r.optimized.total());
-        let _ = writeln!(
-            s,
-            "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>8} {:>6}",
-            n,
-            b,
-            m,
-            r.optimized.total(),
-            r.bucket.total(),
-            naive,
-            r.bucket_bound_total,
-            format!("{:.2}x", r.bucket_speedup_vs_lemma2()),
-            speedup,
-            fmt_ms(r.timings.as_ref().map(|t| t.bucket.file_ns)),
-            fmt_ms(r.timings.as_ref().map(|t| t.bucket_prefetch_ns)),
-            if ok { "yes" } else { "NO" }
-        );
-    }
-    s
 }
 
 // ---------------------------------------------------------------------------
@@ -1401,8 +927,8 @@ pub fn to_table(results: &[SortBenchResult]) -> String {
 pub struct FaultScenario {
     /// Scenario name as emitted into the JSON.
     pub name: &'static str,
-    /// Whether an [`AuthenticatedStore`](extmem::AuthenticatedStore) sits
-    /// between the client and the faulty server.
+    /// Whether an [`AuthenticatedStore`] sits between the client and the
+    /// faulty server.
     pub authenticated: bool,
     /// Fault rates injected during the sort (populate and verification run
     /// fault-free).
@@ -1492,311 +1018,238 @@ impl FaultBackend {
     }
 }
 
-/// Measured result of one fault scenario at one grid point.
-#[derive(Clone, Debug)]
-pub struct FaultBenchResult {
-    /// The parameters measured.
-    pub point: GridPoint,
-    /// The scenario that produced this row.
-    pub scenario: FaultScenario,
-    /// The bottom-level store backing this row (`"extmem"` or `"file"`).
-    pub backend: &'static str,
-    /// Wall-clock nanoseconds of the sort window (including retries).
-    pub elapsed_ns: u64,
-    /// Bottom-level (server-side) I/Os of the sort window, including MAC
-    /// traffic and the final MAC flush when authenticated.
-    pub sort_io: IoStats,
-    /// Transient retries performed by the retry layer.
-    pub retries: u64,
-    /// Abstract backoff units slept across those retries.
-    pub backoff_units: u64,
-    /// Faults actually injected during the sort window.
-    pub faults: FaultStats,
-    /// The typed error the sort returned, if any (rendered).
-    pub run_error: Option<String>,
-    /// The typed error the fault-free verified read-back returned, if any.
-    pub readback_error: Option<String>,
-    /// Whether the read-back matched the expected sorted output (only
-    /// meaningful when no error preempted it).
-    pub output_correct: Option<bool>,
-    /// Bottom-level I/O overhead of this scenario relative to the
-    /// `plain_no_faults` baseline at the same point (filled by
-    /// [`run_fault_grid`]).
-    pub overhead_vs_plain: Option<f64>,
-}
-
-impl FaultBenchResult {
-    /// Whether tampering surfaced as a typed error (at run time or on the
-    /// verified read-back).
-    pub fn detected(&self) -> bool {
-        self.run_error.is_some() || self.readback_error.is_some()
-    }
-
-    /// The row's outcome classification: `"correct"`, `"detected"`, or the
-    /// forbidden-under-authentication `"silent_wrong"`.
-    pub fn outcome(&self) -> &'static str {
-        if self.detected() {
-            "detected"
-        } else if self.output_correct == Some(true) {
-            "correct"
-        } else {
-            "silent_wrong"
-        }
-    }
+/// `{"transient", "corrupt", "stale", "drop"}`: one count or rate per fault
+/// lane.
+fn per_fault_lane(transient: u64, corrupt: u64, stale: u64, drop: u64) -> Record {
+    Record::new()
+        .with("transient", transient)
+        .with("corrupt", corrupt)
+        .with("stale", stale)
+        .with("drop", drop)
 }
 
 /// Measures one fault scenario at one grid point over the chosen backend:
 /// populate fault-free, sort with the scenario's faults injected, then
 /// verify fault-free. The measured I/O window covers the sort plus (when
 /// authenticated) the final MAC flush — exactly the traffic a client pays
-/// per operation against an untrusted server.
-pub fn run_fault_point(
-    point: GridPoint,
-    scenario: FaultScenario,
-    backend: FaultBackend,
-) -> FaultBenchResult {
-    match backend {
-        FaultBackend::ExtMem => run_fault_point_on(
-            point,
-            scenario,
-            EncryptedStore::new(point.b, 0xFA17_0001),
-            backend,
-        ),
+/// per operation against an untrusted server. `overhead_vs_plain` is left
+/// `null` for [`run_fault_scenarios`] to fill.
+pub fn run_fault_point(point: GridPoint, scenario: FaultScenario, backend: FaultBackend) -> Record {
+    const KEY: u64 = 0xFA17_0001;
+    let spec = scenario.spec;
+    let head = Record::new()
+        .with("scenario", scenario.name)
+        .with("backend", backend.name())
+        .with("n", point.n)
+        .with("b", point.b)
+        .with("m", point.m)
+        .with("authenticated", scenario.authenticated)
+        .with(
+            "fault_ppm",
+            per_fault_lane(
+                spec.transient_read_ppm.into(),
+                spec.corrupt_read_ppm.into(),
+                spec.stale_read_ppm.into(),
+                spec.drop_write_ppm.into(),
+            ),
+        );
+    head.append(match backend {
+        FaultBackend::ExtMem => fault_run(point, scenario, EncryptedStore::new(point.b, KEY)),
         FaultBackend::File => {
             let fs = FileStore::temp(point.b).expect("tempdir-backed block file");
-            run_fault_point_on(
-                point,
-                scenario,
-                EncryptedStore::with_backing(fs, 0xFA17_0001),
-                backend,
-            )
+            fault_run(point, scenario, EncryptedStore::with_backing(fs, KEY))
         }
+    })
+}
+
+fn fault_run<B: BackingStore>(
+    point: GridPoint,
+    scenario: FaultScenario,
+    enc: EncryptedStore<B>,
+) -> Record {
+    let faulty = FaultyStore::new(enc, 0xFA17_0002, FaultSpec::none());
+    if scenario.authenticated {
+        let auth = AuthenticatedStore::new(faulty, 0xFA17_0003);
+        fault_window(auth, |s| s.inner_mut(), |s| s.flush_macs(), point, scenario)
+    } else {
+        fault_window(faulty, |s| s, |_| Ok(()), point, scenario)
     }
 }
 
-fn run_fault_point_on<S: extmem::BackingStore>(
+/// The sort window over `stack`, a `Faulty(Encrypted(_))` store with or
+/// without authentication on top: `faulty` reaches the fault layer, and
+/// `flush_macs` lands cached MACs.
+fn fault_window<S: BlockStore, B: BackingStore>(
+    mut stack: S,
+    faulty: fn(&mut S) -> &mut FaultyStore<EncryptedStore<B>>,
+    flush_macs: fn(&mut S) -> Result<(), StoreError>,
     point: GridPoint,
     scenario: FaultScenario,
-    enc: EncryptedStore<S>,
-    backend: FaultBackend,
-) -> FaultBenchResult {
-    use extmem::{AuthenticatedStore, BlockStore, FaultyStore, RetryPolicy};
-    use odo_core::try_sort;
-
+) -> Record {
     let GridPoint { n, b: _, m } = point;
-    let input = bench_input(n, 0xFA17);
+    let input: Vec<Cell> = bench_input(n, 0xFA17).into_iter().map(Some).collect();
     let mut expected = input.clone();
     expected.sort_unstable();
-    let cells: Vec<Cell> = input.iter().copied().map(Some).collect();
+
+    let h = load_cells(&mut stack, &input);
+    flush_macs(&mut stack).expect("fault-free flush");
+    let before = faulty(&mut stack).inner().io_stats();
+    faulty(&mut stack).set_spec(scenario.spec);
+    let f0 = faulty(&mut stack).fault_stats();
     let policy = RetryPolicy::default();
+    let (run, elapsed_ns) =
+        timed(|| odo_core::try_sort(&mut stack, &h, m, SortOrder::Ascending, policy));
+    faulty(&mut stack).set_spec(FaultSpec::none());
+    let f1 = faulty(&mut stack).fault_stats();
+    let _ = flush_macs(&mut stack);
+    let io = faulty(&mut stack).inner().io_stats() - before;
 
-    let faulty = FaultyStore::new(enc, 0xFA17_0002, FaultSpec::none());
-
-    let check = |got: Result<Vec<Cell>, extmem::StoreError>| match got {
-        Ok(out) => {
-            let flat: Vec<Element> = out.into_iter().flatten().collect();
-            (None, Some(flat == expected))
-        }
-        Err(e) => (Some(e.to_string()), None),
+    let (retries, backoff_units, run_error) = match run {
+        Ok((_, retry)) => (retry.retries, retry.backoff_units, None),
+        Err(e) => (0, 0, Some(e.to_string())),
     };
-
-    if scenario.authenticated {
-        let mut auth = AuthenticatedStore::new(faulty, 0xFA17_0003);
-        let h = BlockStore::alloc_array(&mut auth, n);
-        auth.try_store_span(&h, 0, &cells)
-            .expect("fault-free populate");
-        auth.flush_macs().expect("fault-free flush");
-
-        let before = auth.inner().inner().io_stats();
-        auth.inner_mut().set_spec(scenario.spec);
-        let faults_before = auth.inner().fault_stats();
-        let (run, elapsed_ns) = timed(|| try_sort(&mut auth, &h, m, SortOrder::Ascending, policy));
-        auth.inner_mut().set_spec(FaultSpec::none());
-        let faults = auth.inner().fault_stats();
-        let _ = auth.flush_macs();
-        let after = auth.inner().inner().io_stats();
-
-        let (retries, backoff_units, run_error) = match run {
-            Ok((_, retry)) => (retry.retries, retry.backoff_units, None),
-            Err(e) => (0, 0, Some(e.to_string())),
-        };
-        let (readback_error, output_correct) = if run_error.is_some() {
-            (None, None)
-        } else {
-            check(auth.try_load_span(&h, 0, n))
-        };
-        FaultBenchResult {
-            point,
-            scenario,
-            backend: backend.name(),
-            elapsed_ns,
-            sort_io: IoStats {
-                reads: after.reads - before.reads,
-                writes: after.writes - before.writes,
-            },
-            retries,
-            backoff_units,
-            faults: FaultStats {
-                transient_reads: faults.transient_reads - faults_before.transient_reads,
-                corrupt_reads: faults.corrupt_reads - faults_before.corrupt_reads,
-                stale_reads: faults.stale_reads - faults_before.stale_reads,
-                dropped_writes: faults.dropped_writes - faults_before.dropped_writes,
-            },
-            run_error,
-            readback_error,
-            output_correct,
-            overhead_vs_plain: None,
-        }
+    let (readback_error, output_correct) = match run_error {
+        Some(_) => (None, None),
+        None => match stack.try_load_span(&h, 0, n) {
+            Ok(out) => (None, Some(out == expected)),
+            Err(e) => (Some(e.to_string()), None),
+        },
+    };
+    let outcome = if run_error.is_some() || readback_error.is_some() {
+        "detected"
+    } else if output_correct == Some(true) {
+        "correct"
     } else {
-        let mut faulty = faulty;
-        let h = BlockStore::alloc_array(&mut faulty, n);
-        faulty
-            .try_store_span(&h, 0, &cells)
-            .expect("fault-free populate");
-
-        let before = faulty.inner().io_stats();
-        faulty.set_spec(scenario.spec);
-        let (run, elapsed_ns) =
-            timed(|| try_sort(&mut faulty, &h, m, SortOrder::Ascending, policy));
-        faulty.set_spec(FaultSpec::none());
-        let faults = faulty.fault_stats();
-        let after = faulty.inner().io_stats();
-
-        let (retries, backoff_units, run_error) = match run {
-            Ok((_, retry)) => (retry.retries, retry.backoff_units, None),
-            Err(e) => (0, 0, Some(e.to_string())),
-        };
-        let (readback_error, output_correct) = if run_error.is_some() {
-            (None, None)
-        } else {
-            check(faulty.try_load_span(&h, 0, n))
-        };
-        FaultBenchResult {
-            point,
-            scenario,
-            backend: backend.name(),
-            elapsed_ns,
-            sort_io: IoStats {
-                reads: after.reads - before.reads,
-                writes: after.writes - before.writes,
-            },
-            retries,
-            backoff_units,
-            faults,
-            run_error,
-            readback_error,
-            output_correct,
-            overhead_vs_plain: None,
-        }
-    }
+        "silent_wrong"
+    };
+    Record::new()
+        .with("sort_reads", io.reads)
+        .with("sort_writes", io.writes)
+        .with("sort_total", io.total())
+        .with("elapsed_ns", elapsed_ns)
+        .with("overhead_vs_plain", Value::Null)
+        .with("retries", retries)
+        .with("backoff_units", backoff_units)
+        .with(
+            "faults_injected",
+            per_fault_lane(
+                f1.transient_reads - f0.transient_reads,
+                f1.corrupt_reads - f0.corrupt_reads,
+                f1.stale_reads - f0.stale_reads,
+                f1.dropped_writes - f0.dropped_writes,
+            ),
+        )
+        .with("run_error", run_error.as_deref())
+        .with("readback_error", readback_error.as_deref())
+        .with("outcome", outcome)
 }
 
 /// Runs every [`fault_scenarios`] row at `point` over one backend and fills
-/// each result's overhead relative to the same backend's `plain_no_faults`
+/// each row's overhead relative to the same backend's `plain_no_faults`
 /// baseline (the fault schedules are seeded per scenario, so the I/O counts
 /// — and hence the overheads — are identical across backends; only
 /// `elapsed_ns` differs).
-pub fn run_fault_scenarios(point: GridPoint, backend: FaultBackend) -> Vec<FaultBenchResult> {
-    let mut results: Vec<FaultBenchResult> = fault_scenarios()
+pub fn run_fault_scenarios(point: GridPoint, backend: FaultBackend) -> Vec<Record> {
+    let mut rows: Vec<Record> = fault_scenarios()
         .into_iter()
         .map(|s| run_fault_point(point, s, backend))
         .collect();
-    let baseline = results
+    let baseline = rows
         .iter()
-        .find(|r| r.scenario.name == "plain_no_faults")
-        .map(|r| r.sort_io.total())
+        .find(|r| r.str("scenario") == "plain_no_faults")
+        .map(|r| r.u64("sort_total"))
         .expect("the scenario list starts with the plain baseline");
-    for r in &mut results {
-        r.overhead_vs_plain = Some(r.sort_io.total() as f64 / baseline.max(1) as f64 - 1.0);
+    for r in &mut rows {
+        let overhead = r.u64("sort_total") as f64 / baseline.max(1) as f64 - 1.0;
+        r.set("overhead_vs_plain", Value::Fixed(overhead, 4));
     }
-    results
+    rows
 }
 
 /// Runs every [`fault_scenarios`] row at `point` over *both* backends —
 /// `Encrypted(ExtMem)` and `Encrypted(FileStore)` — so each JSON row carries
 /// a backend tag and a wall-clock column next to its I/O counts.
-pub fn run_fault_grid(point: GridPoint) -> Vec<FaultBenchResult> {
-    let mut results = run_fault_scenarios(point, FaultBackend::ExtMem);
-    results.extend(run_fault_scenarios(point, FaultBackend::File));
-    results
+pub fn run_fault_grid(point: GridPoint) -> Vec<Record> {
+    let mut rows = run_fault_scenarios(point, FaultBackend::ExtMem);
+    rows.extend(run_fault_scenarios(point, FaultBackend::File));
+    rows
 }
 
-/// Checks the fault-model acceptance gates over one grid point's results.
+/// The tampering faults (everything but transients) injected into a row.
+fn tampering(r: &Record) -> u64 {
+    let f = r.rec("faults_injected").expect("every row counts faults");
+    f.u64("corrupt") + f.u64("stale") + f.u64("drop")
+}
+
+/// Checks the fault-model acceptance gates over one grid point's rows.
 /// Returns every violated gate as a message; an empty vector means the point
 /// passes.
-pub fn check_fault_gates(results: &[FaultBenchResult]) -> Vec<String> {
+pub fn check_fault_gates(rows: &[Record]) -> Vec<String> {
     let mut violations = Vec::new();
     let mut push = |cond: bool, msg: String| {
         if !cond {
             violations.push(msg);
         }
     };
-    for r in results {
-        let GridPoint { n, b, m } = r.point;
-        let at = format!("{}[{}] at N={n} B={b} M={m}", r.scenario.name, r.backend);
-        match r.scenario.name {
+    for r in rows {
+        let at = format!("{}[{}] at {}", r.str("scenario"), r.str("backend"), at(r));
+        let outcome = r.str("outcome");
+        match r.str("scenario") {
             "plain_no_faults" => {
                 push(
-                    r.outcome() == "correct",
+                    outcome == "correct",
                     format!("{at}: baseline must sort correctly"),
                 );
             }
             "auth_no_faults" => {
-                push(
-                    r.outcome() == "correct",
-                    format!("{at}: must sort correctly"),
-                );
-                let overhead = r.overhead_vs_plain.unwrap_or(f64::INFINITY);
+                push(outcome == "correct", format!("{at}: must sort correctly"));
+                let overhead = r.f64("overhead_vs_plain").unwrap_or(f64::INFINITY);
                 push(
                     overhead <= 0.15,
                     format!(
                         "{at}: authentication overhead {:.1}% > 15% ({} vs baseline I/Os)",
                         overhead * 100.0,
-                        r.sort_io.total()
+                        r.u64("sort_total")
                     ),
                 );
             }
             "auth_transient" => {
                 push(
-                    r.outcome() == "correct",
+                    outcome == "correct",
                     format!(
                         "{at}: transients must retry to the correct result, got {:?}",
-                        r.run_error
+                        r.opt_str("run_error")
                     ),
                 );
                 push(
-                    r.retries > 0,
+                    r.u64("retries") > 0,
                     format!("{at}: the transient lane never fired"),
                 );
                 push(
-                    r.faults.tampering() == 0,
+                    tampering(r) == 0,
                     format!("{at}: transients are not tampering"),
                 );
             }
             "auth_corrupt" | "auth_stale" | "auth_drop" => {
                 push(
-                    r.faults.tampering() > 0,
+                    tampering(r) > 0,
                     format!("{at}: the tamper lane never fired — raise the rate"),
                 );
                 push(
-                    r.outcome() == "detected",
-                    format!(
-                        "{at}: tampering must surface as a typed error, got {}",
-                        r.outcome()
-                    ),
+                    outcome == "detected",
+                    format!("{at}: tampering must surface as a typed error, got {outcome}"),
                 );
             }
             "plain_corrupt_silent" => {
                 push(
-                    r.faults.tampering() > 0,
+                    tampering(r) > 0,
                     format!("{at}: the corrupt lane never fired — raise the rate"),
                 );
                 push(
-                    r.outcome() == "silent_wrong",
+                    outcome == "silent_wrong",
                     format!(
                         "{at}: without authentication corruption should yield a silently \
-                         wrong answer (the motivation row), got {}",
-                        r.outcome()
+                         wrong answer (the motivation row), got {outcome}"
                     ),
                 );
             }
@@ -1806,104 +1259,79 @@ pub fn check_fault_gates(results: &[FaultBenchResult]) -> Vec<String> {
     violations
 }
 
-/// Renders the fault results as the `BENCH_faults.json` document
-/// (hand-rolled JSON; the workspace deliberately has no external
-/// dependencies).
-pub fn faults_to_json(results: &[FaultBenchResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"untrusted_server_faults\",\n");
-    s.push_str(
-        "  \"io_model\": \"1 I/O per bottom-level block read or write; sort window incl. MAC traffic\",\n",
-    );
-    s.push_str("  \"workload\": \"external_oblivious_sort\",\n");
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let GridPoint { n, b, m } = r.point;
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"scenario\": \"{}\",", r.scenario.name);
-        let _ = writeln!(s, "      \"backend\": \"{}\",", r.backend);
-        let _ = writeln!(s, "      \"n\": {n},");
-        let _ = writeln!(s, "      \"b\": {b},");
-        let _ = writeln!(s, "      \"m\": {m},");
-        let _ = writeln!(s, "      \"authenticated\": {},", r.scenario.authenticated);
-        let _ = writeln!(
-            s,
-            "      \"fault_ppm\": {{\"transient\": {}, \"corrupt\": {}, \"stale\": {}, \"drop\": {}}},",
-            r.scenario.spec.transient_read_ppm,
-            r.scenario.spec.corrupt_read_ppm,
-            r.scenario.spec.stale_read_ppm,
-            r.scenario.spec.drop_write_ppm
-        );
-        let _ = writeln!(s, "      \"sort_reads\": {},", r.sort_io.reads);
-        let _ = writeln!(s, "      \"sort_writes\": {},", r.sort_io.writes);
-        let _ = writeln!(s, "      \"sort_total\": {},", r.sort_io.total());
-        let _ = writeln!(s, "      \"elapsed_ns\": {},", r.elapsed_ns);
-        match r.overhead_vs_plain {
-            Some(o) => {
-                let _ = writeln!(s, "      \"overhead_vs_plain\": {o:.4},");
-            }
-            None => s.push_str("      \"overhead_vs_plain\": null,\n"),
+/// The fault family: authentication overhead, tamper detection and retries
+/// against a seeded faulty server.
+pub struct FaultBench;
+
+impl Family for FaultBench {
+    const NAME: &'static str = "faults";
+    const LIST: &'static str = "rows";
+    const COLUMNS: &'static [Column] = &[
+        ("scenario", 22, |r| r.str("scenario").into()),
+        ("backend", 8, |r| r.str("backend").into()),
+        ("N", 8, |r| int(r, "n")),
+        ("sort I/Os", 12, |r| int(r, "sort_total")),
+        ("overhead", 9, |r| {
+            r.f64("overhead_vs_plain")
+                .map_or_else(|| "-".into(), |o| format!("{:+.1}%", o * 100.0))
+        }),
+        ("retries", 8, |r| int(r, "retries")),
+        ("faults", 8, |r| {
+            (tampering(r) + r.rec("faults_injected").map_or(0, |f| f.u64("transient"))).to_string()
+        }),
+        ("ms", 8, |r| fmt_ms(Some(r.u64("elapsed_ns")))),
+        ("outcome", 12, |r| r.str("outcome").into()),
+    ];
+    type Point = GridPoint;
+
+    fn grid(smoke: bool) -> Vec<GridPoint> {
+        if smoke {
+            smoke_grid()[..1].to_vec()
+        } else {
+            vec![
+                GridPoint {
+                    n: 1 << 14,
+                    b: 64,
+                    m: 1 << 10,
+                },
+                HEADLINE,
+            ]
         }
-        let _ = writeln!(s, "      \"retries\": {},", r.retries);
-        let _ = writeln!(s, "      \"backoff_units\": {},", r.backoff_units);
-        let _ = writeln!(
-            s,
-            "      \"faults_injected\": {{\"transient\": {}, \"corrupt\": {}, \"stale\": {}, \"drop\": {}}},",
-            r.faults.transient_reads,
-            r.faults.corrupt_reads,
-            r.faults.stale_reads,
-            r.faults.dropped_writes
-        );
-        match &r.run_error {
-            Some(e) => {
-                let _ = writeln!(s, "      \"run_error\": \"{}\",", e.replace('"', "'"));
-            }
-            None => s.push_str("      \"run_error\": null,\n"),
-        }
-        match &r.readback_error {
-            Some(e) => {
-                let _ = writeln!(s, "      \"readback_error\": \"{}\",", e.replace('"', "'"));
-            }
-            None => s.push_str("      \"readback_error\": null,\n"),
-        }
-        let _ = writeln!(s, "      \"outcome\": \"{}\"", r.outcome());
-        s.push_str("    }");
-        s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
-    s.push_str("  ]\n}\n");
-    s
+
+    fn run(point: GridPoint, _: bool) -> Vec<Record> {
+        run_fault_grid(point)
+    }
+
+    fn header() -> Record {
+        Record::new()
+            .with("benchmark", "untrusted_server_faults")
+            .with(
+                "io_model",
+                "1 I/O per bottom-level block read or write; sort window incl. MAC traffic",
+            )
+            .with("workload", "external_oblivious_sort")
+    }
+
+    fn gates(rows: &[Record], _: bool) -> Vec<String> {
+        let auth = |r: &&Record| is_headline(r) && r.str("scenario") == "auth_no_faults";
+        if let Some(r) = rows.iter().find(auth) {
+            println!(
+                "faults headline (N=2^18, B=64, M=2^13): authentication costs {:+.1}% \
+                 bottom-level I/Os",
+                r.f64("overhead_vs_plain").unwrap_or(f64::NAN) * 100.0
+            );
+        }
+        check_fault_gates(rows)
+            .into_iter()
+            .map(|msg| format!("FAULT GATE VIOLATION: {msg}"))
+            .collect()
+    }
 }
 
-/// Renders a human-readable table of the fault results.
-pub fn faults_to_table(results: &[FaultBenchResult]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>22} {:>8} {:>8} {:>12} {:>9} {:>8} {:>8} {:>8} {:>12}",
-        "scenario", "backend", "N", "sort I/Os", "overhead", "retries", "faults", "ms", "outcome"
-    );
-    for r in results {
-        let overhead = r
-            .overhead_vs_plain
-            .map(|o| format!("{:+.1}%", o * 100.0))
-            .unwrap_or_else(|| "-".into());
-        let _ = writeln!(
-            s,
-            "{:>22} {:>8} {:>8} {:>12} {:>9} {:>8} {:>8} {:>8} {:>12}",
-            r.scenario.name,
-            r.backend,
-            r.point.n,
-            r.sort_io.total(),
-            overhead,
-            r.retries,
-            r.faults.total(),
-            fmt_ms(Some(r.elapsed_ns)),
-            r.outcome()
-        );
-    }
-    s
-}
+// ---------------------------------------------------------------------------
+// Hierarchical ORAM (`BENCH_oram.json`)
+// ---------------------------------------------------------------------------
 
 /// One parameter point of the ORAM benchmark grid: the `(N, B, M)` model
 /// plus the ORAM's own two knobs — the flush period `P` and the length of
@@ -1995,74 +1423,52 @@ pub fn oram_io_bound(
     total
 }
 
-/// Measured result of one ORAM grid point.
-#[derive(Clone, Debug)]
-pub struct OramBenchResult {
-    /// The parameters measured.
-    pub point: OramGridPoint,
-    /// Levels in the hierarchy (`O(log n)`).
-    pub levels: usize,
-    /// Rebuilds triggered during the window (`accesses / period`).
-    pub flushes: u64,
-    /// Server-side I/Os of the whole access sequence (probes + rebuilds).
-    pub io: IoStats,
-    /// The composed analytic bound [`oram_io_bound`].
-    pub bound_total: u64,
-    /// Whether the measured total satisfies the bound.
-    pub within_bound: bool,
-    /// Client stash size after the window (bucket-overflow reals).
-    pub stash_len: usize,
-    /// Wall clock of the identical sequence over `ExtMem`, `FileStore` and
-    /// `EncryptedStore<FileStore>` — `None` when run I/O-count-only. Every
-    /// file-backed run's trace is asserted byte-identical to `ExtMem`'s.
-    pub timings: Option<BackendNanos>,
-    /// Wall clock of the identical sequence over
-    /// `Prefetching(Encrypted(FileStore))` — decrypt-ahead workers plus
-    /// write-behind span encryption, flushed inside the timed region. Its
-    /// logical trace is asserted byte-identical to `ExtMem`'s. `None` when
-    /// run I/O-count-only.
-    pub encrypted_prefetch_ns: Option<u64>,
+/// One ORAM serving a fixed request sequence.
+struct OramJob<'a> {
+    what: String,
+    n: u64,
+    cfg: &'a OramConfig,
+    reqs: &'a [(u64, Option<u64>)],
+    expected: &'a [u64],
 }
 
-impl OramBenchResult {
-    /// Measured amortized I/Os per access — the headline `O(log² n)` number.
-    pub fn amortized_ios(&self) -> f64 {
-        self.io.total() as f64 / self.point.accesses.max(1) as f64
+impl Workload for OramJob<'_> {
+    /// The ORAM client and the read results in request order.
+    type State = (Oram, Vec<u64>);
+
+    fn what(&self) -> &str {
+        &self.what
     }
 
-    /// The analytic bound, amortized per access.
-    pub fn bound_amortized(&self) -> f64 {
-        self.bound_total as f64 / self.point.accesses.max(1) as f64
+    fn load<S: BlockStore>(&self, s: &mut S) -> Self::State {
+        (Oram::new(s, self.n, self.cfg), Vec::new())
     }
-}
 
-/// Drives one ORAM through a request sequence, returning the read results
-/// in order.
-fn run_oram_requests<S: extmem::BlockStore>(
-    store: &mut S,
-    oram: &mut Oram,
-    reqs: &[(u64, Option<u64>)],
-) -> Vec<u64> {
-    let mut out = Vec::with_capacity(reqs.len());
-    for &(addr, write) in reqs {
-        match write {
-            Some(v) => oram.write(store, addr, v),
-            None => out.push(oram.read(store, addr)),
+    fn run<S: BlockStore>(&self, s: &mut S, st: &mut Self::State) -> (IoStats, Record) {
+        let (oram, out) = st;
+        let before = s.io_stats();
+        for &(addr, write) in self.reqs {
+            match write {
+                Some(v) => oram.write(s, addr, v),
+                None => out.push(oram.read(s, addr)),
+            }
         }
+        (s.io_stats() - before, Record::new())
     }
-    out
+
+    fn check<S: BlockStore>(&self, _: &mut S, st: &Self::State) -> bool {
+        st.1 == self.expected
+    }
 }
 
 /// Measures one ORAM grid point: a deterministic mixed read/write sequence
 /// (hash-spread addresses, one write in three) over `ExtMem`, checked
-/// against a client-side mirror and gated by [`oram_io_bound`]. When
-/// `backends` is set the identical sequence replays over `FileStore`,
-/// `EncryptedStore<FileStore>` and `Prefetching(Encrypted(FileStore))`
-/// (decrypt-ahead workers, write-behind flushed on the clock), each timed,
-/// each trace asserted byte-identical to the simulator's — same seed, same
-/// salts, same schedule, on disk and under encryption.
-pub fn run_oram_point(point: OramGridPoint, backends: bool) -> OramBenchResult {
-    use extmem::BlockStore;
+/// against a client-side mirror and gated by [`oram_io_bound`]. With
+/// `all_lanes` the identical sequence replays over `FileStore`,
+/// `Encrypted(FileStore)` and `Prefetching(Encrypted(FileStore))`, each
+/// timed, each trace asserted byte-identical to the simulator's — same
+/// seed, same salts, same schedule, on disk and under encryption.
+pub fn run_oram_point(point: OramGridPoint, all_lanes: bool) -> Record {
     let OramGridPoint {
         n,
         b,
@@ -2093,95 +1499,53 @@ pub fn run_oram_point(point: OramGridPoint, backends: bool) -> OramBenchResult {
         }
     }
 
-    let mut mem = ExtMem::new(b);
-    let mut oram = Oram::new(&mut mem, n as u64, &cfg);
-    let geo = oram.geometry();
-    let levels = oram.level_count();
-    let client_blocks = oram.client_slots() / b;
-    mem.enable_trace();
-    let before = mem.io_stats();
-    let (out, extmem_ns) = timed(|| run_oram_requests(&mut mem, &mut oram, &reqs));
-    let io = mem.io_stats() - before;
-    assert_eq!(
-        out, expected,
-        "ORAM read results diverged from the mirror at n={n} B={b} M={m} P={period}"
-    );
-    let mem_trace = mem.take_trace().expect("tracing was enabled");
+    let job = OramJob {
+        what: format!("ORAM at {point:?}"),
+        n: n as u64,
+        cfg: &cfg,
+        reqs: &reqs,
+        expected: &expected,
+    };
+    let lanes: &[Lane] = if all_lanes {
+        &[Lane::File, Lane::EncryptedFile, Lane::EncryptedPrefetch]
+    } else {
+        &[]
+    };
+    let (reference, runs) = sweep(&job, lanes, 1, b, 0x04A7_0002);
+
+    let oram = &reference.state.0;
+    let io = reference.io;
     let bound_total = oram_io_bound(
-        &geo,
-        client_blocks,
+        &oram.geometry(),
+        oram.client_slots() / b,
         b,
         m,
         period as u64,
         accesses as u64,
         cfg.sorter.engine(),
     );
-
-    let timings = backends.then(|| {
-        let mut fs = FileStore::temp(b).expect("tempdir-backed block file");
-        let mut foram = Oram::new(&mut fs, n as u64, &cfg);
-        fs.enable_trace();
-        let (fout, file_ns) = timed(|| run_oram_requests(&mut fs, &mut foram, &reqs));
-        assert_eq!(fout, expected, "file-backed ORAM results diverged at n={n}");
-        let ftrace = fs.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            ftrace, mem_trace,
-            "FileStore ORAM trace must be byte-identical to ExtMem at n={n} B={b} M={m} P={period}"
-        );
-
-        let inner = FileStore::temp(b).expect("tempdir-backed block file");
-        let mut enc = EncryptedStore::with_backing(inner, 0x04A7_0002);
-        let mut eoram = Oram::new(&mut enc, n as u64, &cfg);
-        enc.enable_trace();
-        let (eout, encrypted_file_ns) = timed(|| run_oram_requests(&mut enc, &mut eoram, &reqs));
-        assert_eq!(eout, expected, "encrypted ORAM results diverged at n={n}");
-        let etrace = enc.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            etrace, mem_trace,
-            "EncryptedStore<FileStore> ORAM trace must be byte-identical to ExtMem at n={n} B={b} M={m} P={period}"
-        );
-        BackendNanos {
-            extmem_ns,
-            file_ns,
-            encrypted_file_ns,
-        }
-    });
-
-    let encrypted_prefetch_ns = backends.then(|| {
-        let inner = FileStore::temp(b).expect("tempdir-backed block file");
-        let enc = EncryptedStore::with_backing(inner, 0x04A7_0002);
-        let mut ps = PrefetchingStore::new(enc);
-        let mut poram = Oram::new(&mut ps, n as u64, &cfg);
-        ps.enable_trace();
-        // The flush belongs inside the timed region: write-behind only
-        // counts as a win if the encrypt-and-land cost is paid on the clock.
-        let (pout, ns) = timed(|| {
-            let out = run_oram_requests(&mut ps, &mut poram, &reqs);
-            ps.flush_writes()
-                .unwrap_or_else(|e| panic!("write-behind flush failed: {e}"));
-            out
-        });
-        assert_eq!(pout, expected, "prefetched ORAM results diverged at n={n}");
-        let ptrace = ps.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            ptrace, mem_trace,
-            "Prefetching(Encrypted(FileStore)) ORAM logical trace must be \
-             byte-identical to ExtMem at n={n} B={b} M={m} P={period}"
-        );
-        ns
-    });
-
-    OramBenchResult {
-        point,
-        levels,
-        flushes: oram.flushes(),
-        io,
-        bound_total,
-        within_bound: io.total() <= bound_total,
-        stash_len: oram.stash_len(),
-        timings,
-        encrypted_prefetch_ns,
-    }
+    let per_access = |x: u64| Value::Fixed(x as f64 / accesses.max(1) as f64, 2);
+    Record::new()
+        .with("n", n)
+        .with("b", b)
+        .with("m", m)
+        .with("period", period)
+        .with("accesses", accesses)
+        .with("levels", oram.level_count())
+        .with("flushes", oram.flushes())
+        .with("reads", io.reads)
+        .with("writes", io.writes)
+        .with("total_ios", io.total())
+        .with("amortized_ios_per_access", per_access(io.total()))
+        .with("bound_total", bound_total)
+        .with("bound_amortized_per_access", per_access(bound_total))
+        .with("stash_len", oram.stash_len())
+        .append(elapsed_fields(reference.ns, &runs))
+        .with(
+            "encrypted_prefetch_ns",
+            fastest(&runs, Lane::EncryptedPrefetch),
+        )
+        .with("within_bound", io.total() <= bound_total)
 }
 
 /// The full ORAM grid: three shapes, each deep enough that the deepest
@@ -2236,113 +1600,85 @@ pub fn oram_smoke_grid() -> Vec<OramGridPoint> {
     ]
 }
 
-/// Renders the ORAM results as the `BENCH_oram.json` document (hand-rolled
-/// JSON; the workspace deliberately has no external dependencies).
-pub fn oram_to_json(results: &[OramBenchResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"hierarchical_oram\",\n");
-    s.push_str("  \"io_model\": \"1 I/O per block read or write, ExtMem::stats\",\n");
-    s.push_str(
-        "  \"bound\": \"probes + per-flush rebuild bounds composed from the sort/compact bounds (O(log^2 n) amortized per access)\",\n",
-    );
-    s.push_str("  \"points\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let OramGridPoint {
-            n,
-            b,
-            m,
-            period,
-            accesses,
-        } = r.point;
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"n\": {n},");
-        let _ = writeln!(s, "      \"b\": {b},");
-        let _ = writeln!(s, "      \"m\": {m},");
-        let _ = writeln!(s, "      \"period\": {period},");
-        let _ = writeln!(s, "      \"accesses\": {accesses},");
-        let _ = writeln!(s, "      \"levels\": {},", r.levels);
-        let _ = writeln!(s, "      \"flushes\": {},", r.flushes);
-        let _ = writeln!(s, "      \"reads\": {},", r.io.reads);
-        let _ = writeln!(s, "      \"writes\": {},", r.io.writes);
-        let _ = writeln!(s, "      \"total_ios\": {},", r.io.total());
-        let _ = writeln!(
-            s,
-            "      \"amortized_ios_per_access\": {:.2},",
-            r.amortized_ios()
-        );
-        let _ = writeln!(s, "      \"bound_total\": {},", r.bound_total);
-        let _ = writeln!(
-            s,
-            "      \"bound_amortized_per_access\": {:.2},",
-            r.bound_amortized()
-        );
-        let _ = writeln!(s, "      \"stash_len\": {},", r.stash_len);
-        emit_elapsed(&mut s, r.timings.as_ref());
-        match r.encrypted_prefetch_ns {
-            Some(ns) => {
-                let _ = writeln!(s, "      \"encrypted_prefetch_ns\": {ns},");
-            }
-            None => s.push_str("      \"encrypted_prefetch_ns\": null,\n"),
-        }
-        let _ = writeln!(s, "      \"within_bound\": {}", r.within_bound);
-        s.push_str("    }");
-        s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn per_access(r: &Record, key: &str) -> String {
+    format!("{:.1}", r.f64(key).unwrap_or(f64::NAN))
 }
 
-/// Renders a human-readable table of the ORAM results.
-pub fn oram_to_table(results: &[OramBenchResult]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>8} {:>4} {:>6} {:>4} {:>8} {:>6} {:>10} {:>9} {:>9} {:>8} {:>8} {:>6}",
-        "n",
-        "B",
-        "M",
-        "P",
-        "accesses",
-        "levels",
-        "I/Os",
-        "amort",
-        "bound/ac",
-        "file ms",
-        "enc ms",
-        "ok"
-    );
-    for r in results {
-        let OramGridPoint {
-            n,
-            b,
-            m,
-            period,
-            accesses,
-        } = r.point;
-        let _ = writeln!(
-            s,
-            "{:>8} {:>4} {:>6} {:>4} {:>8} {:>6} {:>10} {:>9.1} {:>9.1} {:>8} {:>8} {:>6}",
-            n,
-            b,
-            m,
-            period,
-            accesses,
-            r.levels,
-            r.io.total(),
-            r.amortized_ios(),
-            r.bound_amortized(),
-            fmt_ms(r.timings.map(|t| t.file_ns)),
-            fmt_ms(r.timings.map(|t| t.encrypted_file_ns)),
-            if r.within_bound { "yes" } else { "NO" }
-        );
+/// The ORAM family: amortized I/Os per access against the composed bound.
+pub struct OramBench;
+
+impl Family for OramBench {
+    const NAME: &'static str = "oram";
+    const COLUMNS: &'static [Column] = &[
+        ("n", 8, |r| int(r, "n")),
+        ("B", 4, |r| int(r, "b")),
+        ("M", 6, |r| int(r, "m")),
+        ("P", 4, |r| int(r, "period")),
+        ("accesses", 8, |r| int(r, "accesses")),
+        ("levels", 6, |r| int(r, "levels")),
+        ("I/Os", 10, |r| int(r, "total_ios")),
+        ("amort", 9, |r| per_access(r, "amortized_ios_per_access")),
+        ("bound/ac", 9, |r| {
+            per_access(r, "bound_amortized_per_access")
+        }),
+        ("file ms", 8, |r| ms_of(r, "elapsed_ns", "file")),
+        ("enc ms", 8, |r| ms_of(r, "elapsed_ns", "encrypted_file")),
+        ("ok", 6, |r| yes_no(r.flag("within_bound"))),
+    ];
+    type Point = OramGridPoint;
+
+    fn grid(smoke: bool) -> Vec<OramGridPoint> {
+        if smoke {
+            oram_smoke_grid()
+        } else {
+            oram_default_grid()
+        }
     }
-    s
+
+    fn run(point: OramGridPoint, all_lanes: bool) -> Vec<Record> {
+        vec![run_oram_point(point, all_lanes)]
+    }
+
+    fn header() -> Record {
+        Record::new()
+            .with("benchmark", "hierarchical_oram")
+            .with("io_model", IO_MODEL)
+            .with(
+                "bound",
+                "probes + per-flush rebuild bounds composed from the sort/compact bounds \
+                 (O(log^2 n) amortized per access)",
+            )
+    }
+
+    fn gates(rows: &[Record], _: bool) -> Vec<String> {
+        let shape = |r: &Record| [r.u64("n"), r.u64("b"), r.u64("m"), r.u64("period")];
+        if let Some(r) = rows.last() {
+            let [n, b, m, p] = shape(r);
+            println!(
+                "oram headline (n={n}, B={b}, M={m}, P={p}): {:.1} amortized I/Os per access \
+                 over {} levels, bound {:.1}",
+                r.f64("amortized_ios_per_access").unwrap_or(f64::NAN),
+                r.u64("levels"),
+                r.f64("bound_amortized_per_access").unwrap_or(f64::NAN)
+            );
+        }
+        let over = rows.iter().filter(|r| !r.flag("within_bound"));
+        over.map(|r| {
+            let [n, b, m, p] = shape(r);
+            let (total, bound) = (r.u64("total_ios"), r.u64("bound_total"));
+            format!("ORAM BOUND VIOLATION at n={n} B={b} M={m} P={p}: {total} > {bound}")
+        })
+        .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    /// One point's record, in memory only or with every lane.
+    fn point(n: usize, b: usize, m: usize) -> GridPoint {
+        GridPoint { n, b, m }
+    }
 
     #[test]
     fn bound_formula_matches_hand_computation() {
@@ -2356,14 +1692,12 @@ mod tests {
     fn small_point_is_within_bound_and_beats_naive_3x() {
         // Debug-friendly miniature of the acceptance criterion: the in-cache
         // finishing + stride batching must beat full depth by ≥ 3×.
-        let point = GridPoint {
-            n: 1 << 12,
-            b: 16,
-            m: 1 << 8,
-        };
-        let r = run_sort_point(point, true, false);
-        assert!(r.within_bound, "optimized sort exceeded the bound: {r:?}");
-        let speedup = r.speedup().unwrap();
+        let r = run_sort_point(point(1 << 12, 16, 1 << 8), true);
+        assert!(
+            r.flag("within_bound"),
+            "optimized sort exceeded the bound: {r:?}"
+        );
+        let speedup = r.f64("speedup_vs_naive").unwrap();
         assert!(speedup >= 3.0, "speedup only {speedup:.2}x");
     }
 
@@ -2385,24 +1719,15 @@ mod tests {
         assert!(grid.iter().all(|p| p.b == 64));
     }
 
+    /// Runs a family over `points` with every lane on and emits its JSON.
+    fn emit<F: Family>(points: &[F::Point]) -> String {
+        let rows: Vec<Record> = points.iter().flat_map(|&p| F::run(p, true)).collect();
+        F::json(&rows)
+    }
+
     #[test]
     fn json_has_all_points_and_fields() {
-        let results: Vec<SortBenchResult> = [
-            GridPoint {
-                n: 256,
-                b: 8,
-                m: 64,
-            },
-            GridPoint {
-                n: 512,
-                b: 8,
-                m: 64,
-            },
-        ]
-        .into_iter()
-        .map(|p| run_sort_point(p, true, true))
-        .collect();
-        let json = to_json(&results);
+        let json = emit::<SortBench>(&[point(256, 8, 64), point(512, 8, 64)]);
         assert_eq!(json.matches("\"optimized_total\"").count(), 2);
         assert!(json.contains("\"bound_constant\": 4"));
         assert!(json.contains("\"encrypted_total\""));
@@ -2433,36 +1758,19 @@ mod tests {
 
     #[test]
     fn compact_small_point_is_within_bound_and_beats_naive() {
-        let point = GridPoint {
-            n: 1 << 12,
-            b: 16,
-            m: 1 << 8,
-        };
-        let r = run_compact_point(point, true, false);
-        assert!(r.within_bound, "compaction exceeded the bound: {r:?}");
-        let speedup = r.speedup().unwrap();
+        let r = run_compact_point(point(1 << 12, 16, 1 << 8), true);
+        assert!(
+            r.flag("within_bound"),
+            "compaction exceeded the bound: {r:?}"
+        );
+        let speedup = r.f64("speedup_vs_naive").unwrap();
         assert!(speedup > 1.0, "naive baseline not beaten: {speedup:.2}x");
-        assert_eq!(r.encrypted, r.optimized);
+        assert_eq!(r.u64("encrypted_total"), r.u64("optimized_total"));
     }
 
     #[test]
     fn compact_json_has_all_points_and_fields() {
-        let results: Vec<CompactBenchResult> = [
-            GridPoint {
-                n: 256,
-                b: 8,
-                m: 64,
-            },
-            GridPoint {
-                n: 512,
-                b: 8,
-                m: 64,
-            },
-        ]
-        .into_iter()
-        .map(|p| run_compact_point(p, true, true))
-        .collect();
-        let json = compact_to_json(&results);
+        let json = emit::<CompactBench>(&[point(256, 8, 64), point(512, 8, 64)]);
         assert_eq!(json.matches("\"optimized_total\"").count(), 2);
         assert!(json.contains("\"bound_constant\": 32"));
         assert!(json.contains("\"encrypted_total\""));
@@ -2485,115 +1793,82 @@ mod tests {
     fn io_bound_regression_at_grid_points() {
         let test_sized = default_grid().into_iter().filter(|p| p.n <= 1 << 16);
         for point in smoke_grid().into_iter().chain(test_sized) {
-            let s = run_sort_point(point, false, false);
+            let s = run_sort_point(point, false);
             assert!(
-                s.within_bound,
-                "sort exceeded its I/O bound at N={} B={} M={}: {} > {}",
-                point.n,
-                point.b,
-                point.m,
-                s.optimized.total(),
-                s.bound_total
+                s.flag("within_bound"),
+                "sort exceeded its I/O bound at {point:?}: {} > {}",
+                s.u64("optimized_total"),
+                s.u64("bound_total")
             );
             assert_eq!(
-                s.encrypted, s.optimized,
-                "re-encryption added I/Os to the sort at N={} B={} M={}",
-                point.n, point.b, point.m
+                s.u64("encrypted_total"),
+                s.u64("optimized_total"),
+                "re-encryption added I/Os to the sort at {point:?}"
             );
             assert!(
-                s.bucket_within_bound,
-                "bucket sort exceeded its I/O bound at N={} B={} M={}: {} > {}",
-                point.n,
-                point.b,
-                point.m,
-                s.bucket.total(),
-                s.bucket_bound_total
+                s.flag("bucket_within_bound"),
+                "bucket sort exceeded its I/O bound at {point:?}: {} > {}",
+                s.u64("bucket_total"),
+                s.u64("bucket_bound_total")
             );
             assert_eq!(
-                s.bucket_encrypted, s.bucket,
-                "re-encryption added I/Os to the bucket sort at N={} B={} M={}",
-                point.n, point.b, point.m
+                s.u64("bucket_encrypted_total"),
+                s.u64("bucket_total"),
+                "re-encryption added I/Os to the bucket sort at {point:?}"
             );
-            if s.bucket_gate_applies() {
+            if s.flag("bucket_gate_applies") {
                 assert!(
-                    s.bucket.total() < s.optimized.total(),
-                    "bucket sort did not beat Lemma 2 at N={} B={} M={}: {} >= {}",
-                    point.n,
-                    point.b,
-                    point.m,
-                    s.bucket.total(),
-                    s.optimized.total()
+                    s.u64("bucket_total") < s.u64("optimized_total"),
+                    "bucket sort did not beat Lemma 2 at {point:?}: {} >= {}",
+                    s.u64("bucket_total"),
+                    s.u64("optimized_total")
                 );
             }
-            let c = run_compact_point(point, false, false);
+            let c = run_compact_point(point, false);
             assert!(
-                c.within_bound,
-                "compaction exceeded its I/O bound at N={} B={} M={}: {} > {}",
-                point.n,
-                point.b,
-                point.m,
-                c.optimized.total(),
-                c.bound_total
+                c.flag("within_bound"),
+                "compaction exceeded its I/O bound at {point:?}: {} > {}",
+                c.u64("optimized_total"),
+                c.u64("bound_total")
             );
             assert_eq!(
-                c.encrypted, c.optimized,
-                "re-encryption added I/Os at N={} B={} M={}",
-                point.n, point.b, point.m
+                c.u64("encrypted_total"),
+                c.u64("optimized_total"),
+                "re-encryption added I/Os at {point:?}"
             );
-            let sel = run_select_point(point, false, false);
+            let sel = run_select_point(point, false);
             assert!(
-                sel.within_bound,
-                "selection exceeded its I/O bound at N={} B={} M={}: {} > {}",
-                point.n,
-                point.b,
-                point.m,
-                sel.optimized.total(),
-                sel.bound_total
+                sel.flag("within_bound"),
+                "selection exceeded its I/O bound at {point:?}: {} > {}",
+                sel.u64("optimized_total"),
+                sel.u64("bound_total")
             );
-            // run_select_point itself asserts the byte-identical
-            // plaintext/encrypted trace; re-check the I/O equality here for a
-            // readable failure.
+            // The sweep itself asserts the byte-identical plaintext/encrypted
+            // trace; re-check the I/O equality here for a readable failure.
             assert_eq!(
-                sel.encrypted, sel.optimized,
-                "re-encryption added I/Os to selection at N={} B={} M={}",
-                point.n, point.b, point.m
+                sel.u64("encrypted_total"),
+                sel.u64("optimized_total"),
+                "re-encryption added I/Os to selection at {point:?}"
             );
         }
     }
 
     #[test]
     fn select_small_point_is_within_bound_and_beats_naive() {
-        let point = GridPoint {
-            n: 1 << 12,
-            b: 16,
-            m: 1 << 8,
-        };
-        let r = run_select_point(point, true, false);
-        assert!(r.within_bound, "selection exceeded the bound: {r:?}");
-        let speedup = r.speedup().unwrap();
+        let r = run_select_point(point(1 << 12, 16, 1 << 8), true);
+        assert!(
+            r.flag("within_bound"),
+            "selection exceeded the bound: {r:?}"
+        );
+        let speedup = r.f64("speedup_vs_naive").unwrap();
         assert!(speedup > 1.0, "naive baseline not beaten: {speedup:.2}x");
-        assert_eq!(r.encrypted, r.optimized);
-        assert!(r.report.rounds >= 1, "the external path must iterate");
+        assert_eq!(r.u64("encrypted_total"), r.u64("optimized_total"));
+        assert!(r.u64("rounds") >= 1, "the external path must iterate");
     }
 
     #[test]
     fn select_json_has_all_points_and_fields() {
-        let results: Vec<SelectBenchResult> = [
-            GridPoint {
-                n: 512,
-                b: 8,
-                m: 64,
-            },
-            GridPoint {
-                n: 1024,
-                b: 8,
-                m: 64,
-            },
-        ]
-        .into_iter()
-        .map(|p| run_select_point(p, true, true))
-        .collect();
-        let json = select_to_json(&results);
+        let json = emit::<SelectBench>(&[point(512, 8, 64), point(1024, 8, 64)]);
         assert_eq!(json.matches("\"optimized_total\"").count(), 2);
         assert!(json.contains("\"bound_constant\": 64"));
         assert!(json.contains("\"encrypted_trace_identical\": true"));
@@ -2606,16 +1881,9 @@ mod tests {
 
     #[test]
     fn fault_gates_pass_at_the_smoke_point() {
-        let results = run_fault_scenarios(
-            GridPoint {
-                n: 1 << 12,
-                b: 64,
-                m: 1 << 9,
-            },
-            FaultBackend::ExtMem,
-        );
-        assert_eq!(results.len(), fault_scenarios().len());
-        let violations = check_fault_gates(&results);
+        let rows = run_fault_scenarios(point(1 << 12, 64, 1 << 9), FaultBackend::ExtMem);
+        assert_eq!(rows.len(), fault_scenarios().len());
+        let violations = check_fault_gates(&rows);
         assert!(
             violations.is_empty(),
             "fault gates violated: {violations:#?}"
@@ -2627,11 +1895,7 @@ mod tests {
     /// I/O counts must not care whether blocks live in memory or on disk.
     #[test]
     fn fault_gates_pass_over_the_file_backend() {
-        let point = GridPoint {
-            n: 1 << 12,
-            b: 64,
-            m: 1 << 9,
-        };
+        let point = point(1 << 12, 64, 1 << 9);
         let file = run_fault_scenarios(point, FaultBackend::File);
         let violations = check_fault_gates(&file);
         assert!(
@@ -2642,18 +1906,15 @@ mod tests {
         // and outcomes — only the wall clock may differ.
         let mem = run_fault_scenarios(point, FaultBackend::ExtMem);
         for (f, m) in file.iter().zip(&mem) {
-            assert_eq!(f.scenario.name, m.scenario.name);
-            assert_eq!(f.sort_io, m.sort_io, "{}: I/Os diverged", f.scenario.name);
+            let name = f.str("scenario");
+            assert_eq!(name, m.str("scenario"));
+            for key in ["sort_reads", "sort_writes", "retries"] {
+                assert_eq!(f.u64(key), m.u64(key), "{name}: {key} diverged");
+            }
             assert_eq!(
-                f.retries, m.retries,
-                "{}: retries diverged",
-                f.scenario.name
-            );
-            assert_eq!(
-                f.outcome(),
-                m.outcome(),
-                "{}: outcome diverged",
-                f.scenario.name
+                f.str("outcome"),
+                m.str("outcome"),
+                "{name}: outcome diverged"
             );
         }
     }
@@ -2673,13 +1934,9 @@ mod tests {
     /// column is stripped.
     #[test]
     fn faults_json_is_deterministic_across_runs() {
-        let point = GridPoint {
-            n: 1 << 12,
-            b: 64,
-            m: 1 << 9,
-        };
-        let a = faults_to_json(&run_fault_grid(point));
-        let b = faults_to_json(&run_fault_grid(point));
+        let point = point(1 << 12, 64, 1 << 9);
+        let a = FaultBench::json(&run_fault_grid(point));
+        let b = FaultBench::json(&run_fault_grid(point));
         assert_eq!(
             strip_timing(&a),
             strip_timing(&b),
@@ -2705,18 +1962,10 @@ mod tests {
     fn exact_io_counts_at_a_reference_point() {
         // N = 2^12, B = 16, M = 2^8: F = 256, passes = presort(1) +
         // external(1+2+3+4) + finishing(4) = 15, each 2·256 I/Os.
-        let r = run_sort_point(
-            GridPoint {
-                n: 1 << 12,
-                b: 16,
-                m: 1 << 8,
-            },
-            false,
-            false,
-        );
-        assert_eq!(r.optimized.total(), 15 * 2 * 256);
-        assert_eq!(r.report.external_levels, 10);
-        assert_eq!(r.report.finish_passes, 4);
+        let r = run_sort_point(point(1 << 12, 16, 1 << 8), false);
+        assert_eq!(r.u64("optimized_total"), 15 * 2 * 256);
+        assert_eq!(r.u64("external_levels"), 10);
+        assert_eq!(r.u64("finish_passes"), 4);
     }
 
     /// The ORAM's amortized-cost regression gate at the CI smoke points:
@@ -2728,36 +1977,32 @@ mod tests {
         for point in oram_smoke_grid() {
             let r = run_oram_point(point, false);
             assert!(
-                r.within_bound,
-                "ORAM exceeded its composed bound at n={} B={} M={} P={}: {} > {}",
-                point.n,
-                point.b,
-                point.m,
-                point.period,
-                r.io.total(),
-                r.bound_total
+                r.flag("within_bound"),
+                "ORAM exceeded its composed bound at {point:?}: {} > {}",
+                r.u64("total_ios"),
+                r.u64("bound_total")
             );
-            assert!(r.levels >= 2);
+            assert!(r.u64("levels") >= 2);
             assert!(
-                r.flushes >= 1 << (r.levels - 1),
+                r.u64("flushes") >= 1 << (r.u64("levels") - 1),
                 "the smoke window must reach the deepest level's rebuild"
             );
         }
     }
 
+    fn tiny_oram() -> OramGridPoint {
+        OramGridPoint {
+            n: 256,
+            b: 8,
+            m: 128,
+            period: 16,
+            accesses: 512,
+        }
+    }
+
     #[test]
     fn oram_json_has_all_points_and_fields() {
-        let results = vec![run_oram_point(
-            OramGridPoint {
-                n: 256,
-                b: 8,
-                m: 128,
-                period: 16,
-                accesses: 512,
-            },
-            true,
-        )];
-        let json = oram_to_json(&results);
+        let json = emit::<OramBench>(&[tiny_oram()]);
         assert!(json.contains("\"benchmark\": \"hierarchical_oram\""));
         assert!(json.contains("\"amortized_ios_per_access\""));
         assert!(json.contains("\"bound_amortized_per_access\""));
@@ -2767,5 +2012,56 @@ mod tests {
         assert!(json.contains("\"encrypted_prefetch_ns\""));
         assert!(!json.contains("\"encrypted_prefetch_ns\": null"));
         assert!(json.contains("\"stash_len\""));
+    }
+
+    /// The key names of an emitted document: the top-level keys, then each
+    /// row's keys (inline objects' keys included), in order.
+    fn key_names(json: &str) -> (Vec<String>, Vec<Vec<String>>) {
+        let (mut top, mut rows) = (Vec::new(), Vec::<Vec<String>>::new());
+        for line in json.lines() {
+            // Quoted strings sit at the odd indices of a split on `"`; a key
+            // is one followed by a colon.
+            let parts: Vec<&str> = line.split('"').collect();
+            let keys = (1..parts.len())
+                .step_by(2)
+                .filter(|&i| parts.get(i + 1).is_some_and(|p| p.starts_with(':')))
+                .map(|i| parts[i].to_string());
+            if line == "    {" {
+                rows.push(Vec::new());
+            } else if line.starts_with("      ") {
+                rows.last_mut().expect("a row is open").extend(keys);
+            } else if line.starts_with("  \"") {
+                top.extend(keys);
+            }
+        }
+        (top, rows)
+    }
+
+    /// Pins the committed schema: every family, run on a tiny grid with
+    /// every lane on, emits exactly the key names (and key order) of its
+    /// committed `BENCH_<family>.json`, so a dropped or renamed key fails
+    /// here rather than in review.
+    #[test]
+    fn emitted_keys_match_the_committed_bench_files() {
+        let tiny = [point(512, 8, 64)];
+        let cases = [
+            (SortBench::NAME, emit::<SortBench>(&tiny)),
+            (CompactBench::NAME, emit::<CompactBench>(&tiny)),
+            (SelectBench::NAME, emit::<SelectBench>(&tiny)),
+            (FaultBench::NAME, emit::<FaultBench>(&tiny)),
+            (OramBench::NAME, emit::<OramBench>(&[tiny_oram()])),
+        ];
+        for (name, json) in cases {
+            let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+            let committed = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+            let (top, rows) = key_names(&json);
+            let (committed_top, committed_rows) = key_names(&committed);
+            assert_eq!(top, committed_top, "{name}: top-level keys differ");
+            assert!(!rows.is_empty() && !committed_rows.is_empty());
+            for row in rows.iter().chain(&committed_rows) {
+                assert_eq!(row, &committed_rows[0], "{name}: per-point keys differ");
+            }
+        }
     }
 }
