@@ -32,10 +32,9 @@
 #![warn(missing_docs)]
 
 use extmem::element::Cell;
-use extmem::{ArrayHandle, Block, BlockCache, Element, ExtMem, IoStats};
+use extmem::{ArrayHandle, Block, BlockCache, BlockStore, Element, ExtMem, IoStats};
 use obliv_net::butterfly;
-use obliv_net::compare::exchange_dir_by;
-use obliv_net::external_sort::SortOrder;
+use obliv_net::external_sort::{exchange_dir_by, SortOrder};
 use std::cmp::Ordering;
 
 /// What the naive sort did, alongside its I/O cost.
@@ -243,7 +242,7 @@ pub fn naive_external_butterfly_compact(
         }
         for beta in 0..nb.saturating_sub(k) {
             let mut mask = vec![false; 2 * b]; // source offsets within the pair
-            mem.modify_block_pair(&dist, beta, beta + k, |lo_blk, hi_blk| {
+            mem.modify_pair(&dist, beta, beta + k, |lo_blk, hi_blk| {
                 for r in 0..b {
                     // Destination j = beta*b + r; source j + s sits at pair
                     // offset r + s (s < B keeps it inside the two blocks;
@@ -269,7 +268,7 @@ pub fn naive_external_butterfly_compact(
                     }
                 }
             });
-            mem.modify_block_pair(h, beta, beta + k, |lo_blk, hi_blk| {
+            mem.modify_pair(h, beta, beta + k, |lo_blk, hi_blk| {
                 for r in 0..b {
                     let off = if s < b { r + s } else { r + b };
                     if mask[off] {

@@ -381,21 +381,18 @@ impl<S: BackingStore> EncryptedStore<S> {
     /// I/Os or touching the trace. Never use this inside an algorithm under
     /// test.
     pub fn snapshot_cells(&self, h: &ArrayHandle) -> Vec<Cell> {
-        let b = self.block_elems();
+        let ciphertext = BackingStore::snapshot_cells(&self.mem, h);
         let mut ks = Vec::new();
-        let mut out = Vec::with_capacity(h.len());
-        for i in 0..h.n_blocks() {
+        let mut out = Vec::with_capacity(ciphertext.len());
+        for (i, cells) in ciphertext.chunks(self.block_elems()).enumerate() {
             let addr = h.global_block(i);
             let nonce = self.nonce_of(addr);
-            let blk = if nonce == u64::MAX {
-                Block::empty(b)
+            if nonce == u64::MAX {
+                out.resize(out.len() + cells.len(), None);
             } else {
-                decrypt_block_with(self.key, addr, nonce, &self.raw_ciphertext(h, i), &mut ks)
-            };
-            for j in 0..b {
-                if out.len() < h.len() {
-                    out.push(blk.get(j));
-                }
+                let blk =
+                    decrypt_block_with(self.key, addr, nonce, &Block::from_cells(cells), &mut ks);
+                out.extend_from_slice(blk.slots());
             }
         }
         out

@@ -42,24 +42,6 @@ impl Element {
             payload: index as u64,
         }
     }
-
-    /// Packs the element into a single 128-bit word (key in the high half).
-    ///
-    /// Used by the invertible Bloom lookup table, whose cells accumulate sums
-    /// of values, and by the encryption layer.
-    #[inline]
-    pub fn pack(&self) -> u128 {
-        ((self.key as u128) << 64) | self.payload as u128
-    }
-
-    /// Inverse of [`Element::pack`].
-    #[inline]
-    pub fn unpack(word: u128) -> Self {
-        Element {
-            key: (word >> 64) as u64,
-            payload: word as u64,
-        }
-    }
 }
 
 impl PartialOrd for Element {
@@ -140,12 +122,6 @@ mod tests {
         assert!(a < b);
         assert!(b < c);
         assert_eq!(a.cmp(&a), Ordering::Equal);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let e = Element::new(0xDEAD_BEEF_0123_4567, 0x89AB_CDEF_FEDC_BA98);
-        assert_eq!(Element::unpack(e.pack()), e);
     }
 
     #[test]

@@ -264,105 +264,6 @@ impl ExtMem {
         self.arena.put(old.into_buffer());
     }
 
-    /// Reads the cell at element index `idx` of array `h` by reading its
-    /// containing block (costs one I/O).
-    pub fn read_cell(&mut self, h: &ArrayHandle, idx: usize) -> Cell {
-        assert!(idx < h.len(), "element index out of range");
-        let blk = self.read_block(h, idx / self.block_elems);
-        blk.get(idx % self.block_elems)
-    }
-
-    /// Writes the cell at element index `idx` of array `h` via a
-    /// read-modify-write of its containing block (costs two I/Os).
-    pub fn write_cell(&mut self, h: &ArrayHandle, idx: usize, cell: Cell) {
-        assert!(idx < h.len(), "element index out of range");
-        let bi = idx / self.block_elems;
-        let mut blk = self.read_block(h, bi);
-        blk.set(idx % self.block_elems, cell);
-        self.write_block(h, bi, blk);
-    }
-
-    /// Fused read-modify-write of the block pair `(i, j)`: both blocks are
-    /// read, `f` is applied once to the pair, and both blocks are written
-    /// back (4 I/Os total, in the fixed order read `i`, read `j`, write `i`,
-    /// write `j`).
-    ///
-    /// This is the whole-block fast path used by the external oblivious
-    /// sort's stride-batched compare-exchange passes: one call per block pair
-    /// per pass, instead of `B` cell-level round trips. Writes are
-    /// unconditional, keeping the trace data-independent.
-    pub fn modify_block_pair(
-        &mut self,
-        h: &ArrayHandle,
-        i: usize,
-        j: usize,
-        f: impl FnOnce(&mut Block, &mut Block),
-    ) {
-        assert_ne!(i, j, "block pair must be two distinct blocks");
-        let mut a = self.read_block(h, i);
-        let mut b = self.read_block(h, j);
-        f(&mut a, &mut b);
-        self.write_block(h, i, a);
-        self.write_block(h, j, b);
-    }
-
-    /// Reads the element span `[elem_lo, elem_hi)` of array `h` into a flat
-    /// cell vector, charging one read I/O per spanned block.
-    ///
-    /// This is the load half of *in-cache finishing*: an algorithm pulls a
-    /// whole sub-problem into the private cache with one pass of block reads,
-    /// works on it CPU-side for free, and stores it back with
-    /// [`ExtMem::write_span`].
-    pub fn read_span(&mut self, h: &ArrayHandle, elem_lo: usize, elem_hi: usize) -> Vec<Cell> {
-        assert!(
-            elem_lo <= elem_hi && elem_hi <= h.len(),
-            "span out of range"
-        );
-        if elem_lo == elem_hi {
-            return Vec::new();
-        }
-        let b = self.block_elems;
-        let blk_lo = elem_lo / b;
-        let blk_hi = (elem_hi - 1) / b;
-        let mut out = Vec::with_capacity(elem_hi - elem_lo);
-        for bi in blk_lo..=blk_hi {
-            let blk = self.read_block(h, bi);
-            let lo = elem_lo.max(bi * b) - bi * b;
-            let hi = elem_hi.min((bi + 1) * b) - bi * b;
-            out.extend_from_slice(&blk.slots()[lo..hi]);
-        }
-        out
-    }
-
-    /// Writes `cells` back to the element span starting at `elem_lo`,
-    /// charging one write I/O per spanned block (plus one read I/O for each
-    /// boundary block the span only partially covers, which must be
-    /// read-modify-written).
-    pub fn write_span(&mut self, h: &ArrayHandle, elem_lo: usize, cells: &[Cell]) {
-        let elem_hi = elem_lo + cells.len();
-        assert!(elem_hi <= h.len(), "span out of range");
-        if cells.is_empty() {
-            return;
-        }
-        let b = self.block_elems;
-        let blk_lo = elem_lo / b;
-        let blk_hi = (elem_hi - 1) / b;
-        for bi in blk_lo..=blk_hi {
-            let lo = elem_lo.max(bi * b);
-            let hi = elem_hi.min((bi + 1) * b);
-            let full = lo == bi * b && hi == (bi + 1) * b;
-            let mut blk = if full {
-                Block::empty(b)
-            } else {
-                self.read_block(h, bi)
-            };
-            for (slot, cell) in (lo - bi * b..hi - bi * b).zip(&cells[lo - elem_lo..hi - elem_lo]) {
-                blk.set(slot, *cell);
-            }
-            self.write_block(h, bi, blk);
-        }
-    }
-
     /// Non-oblivious convenience used by tests and oracles: loads the whole
     /// array as a flat vector of cells **without** charging I/Os or touching
     /// the trace. Never use this inside an algorithm under test.
@@ -389,6 +290,7 @@ impl ExtMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::BlockStore;
 
     fn e(k: u64) -> Element {
         Element::new(k, 0)
@@ -414,24 +316,6 @@ mod tests {
         assert_eq!(mem.stats().reads, 1);
         mem.write_block(&h, 0, Block::empty(4));
         assert_eq!(mem.stats().writes, 1);
-    }
-
-    #[test]
-    fn cell_level_access_charges_block_ios() {
-        let mut mem = ExtMem::new(4);
-        let items: Vec<Element> = (0..8).map(e).collect();
-        let h = mem.alloc_array_from_elements(&items);
-        assert_eq!(mem.read_cell(&h, 5), Some(e(5)));
-        assert_eq!(mem.stats().reads, 1);
-        mem.write_cell(&h, 5, Some(e(99)));
-        assert_eq!(
-            mem.stats(),
-            IoStats {
-                reads: 2,
-                writes: 1
-            }
-        );
-        assert_eq!(mem.read_cell(&h, 5), Some(e(99)));
     }
 
     #[test]
@@ -493,11 +377,14 @@ mod tests {
         let _ = mem.read_block(&h, 1);
     }
 
+    // The span and pair combinators are the `BlockStore` trait's provided
+    // methods; these pin their I/O charges on the reference arena.
+
     #[test]
     fn modify_block_pair_costs_two_reads_and_two_writes() {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_elements(&(0..16).map(e).collect::<Vec<_>>());
-        mem.modify_block_pair(&h, 0, 2, |a, b| {
+        mem.modify_pair(&h, 0, 2, |a, b| {
             for i in 0..4 {
                 let (x, y) = (a.get(i), b.get(i));
                 a.set(i, y);
@@ -518,27 +405,29 @@ mod tests {
 
     #[test]
     fn modify_block_pair_writes_back_unconditionally() {
-        // Even an identity modification costs the full 4 I/Os — the access
-        // pattern must never depend on whether the data changed.
+        // Even an identity modification costs the full 4 I/Os, in the fixed
+        // order read i, read j, write i, write j — the access pattern must
+        // never depend on whether the data changed.
         let mut mem = ExtMem::with_trace(4);
-        let h = mem.alloc_array(8);
-        mem.modify_block_pair(&h, 0, 1, |_, _| {});
+        let h = mem.alloc_array(12);
+        mem.modify_pair(&h, 2, 0, |_, _| {});
+        let ev = |op, addr| AccessEvent { op, addr };
         assert_eq!(
-            mem.stats(),
-            IoStats {
-                reads: 2,
-                writes: 2
-            }
+            mem.take_trace().unwrap(),
+            vec![
+                ev(AccessOp::Read, 2),
+                ev(AccessOp::Read, 0),
+                ev(AccessOp::Write, 2),
+                ev(AccessOp::Write, 0),
+            ]
         );
-        let t = mem.take_trace().unwrap();
-        assert_eq!(t.len(), 4);
     }
 
     #[test]
     fn read_span_charges_one_read_per_spanned_block() {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_elements(&(0..16).map(e).collect::<Vec<_>>());
-        let cells = mem.read_span(&h, 2, 11);
+        let cells = mem.load_span(&h, 2, 11);
         assert_eq!(cells.len(), 9);
         assert_eq!(cells[0], Some(e(2)));
         assert_eq!(cells[8], Some(e(10)));
@@ -550,7 +439,7 @@ mod tests {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array(16);
         let cells: Vec<Cell> = (0..8).map(|k| Some(e(k))).collect();
-        mem.write_span(&h, 4, &cells); // blocks 1 and 2, fully covered
+        mem.store_span(&h, 4, &cells); // blocks 1 and 2, fully covered
         assert_eq!(
             mem.stats(),
             IoStats {
@@ -566,7 +455,7 @@ mod tests {
     fn write_span_preserves_cells_outside_partial_blocks() {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>());
-        mem.write_span(&h, 3, &[Some(e(100)), Some(e(101))]);
+        mem.store_span(&h, 3, &[Some(e(100)), Some(e(101))]);
         let cells = mem.snapshot_cells(&h);
         assert_eq!(cells[2], Some(e(2)));
         assert_eq!(cells[3], Some(e(100)));
@@ -586,9 +475,9 @@ mod tests {
     fn span_roundtrip() {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_elements(&(0..12).map(e).collect::<Vec<_>>());
-        let mut cells = mem.read_span(&h, 0, 12);
+        let mut cells = mem.load_span(&h, 0, 12);
         cells.reverse();
-        mem.write_span(&h, 0, &cells);
+        mem.store_span(&h, 0, &cells);
         let got = mem.snapshot_elements(&h);
         let expected: Vec<Element> = (0..12).rev().map(e).collect();
         assert_eq!(got, expected);
@@ -599,7 +488,8 @@ mod tests {
         let mut mem = ExtMem::new(4);
         let a = mem.alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>());
         let b = mem.alloc_array_from_elements(&(100..108).map(e).collect::<Vec<_>>());
-        mem.write_cell(&a, 0, Some(e(55)));
+        mem.store_span(&a, 0, &[Some(e(55))]);
+        assert_eq!(mem.snapshot_elements(&a)[0], e(55));
         assert_eq!(mem.snapshot_elements(&b)[0], e(100));
     }
 }

@@ -333,19 +333,4 @@ mod tests {
         let t2 = mem2.take_trace().unwrap();
         assert_eq!(t1, t2);
     }
-
-    #[test]
-    fn trait_pair_order_matches_inherent_fast_path() {
-        // The provided modify_pair must leave the same trace as
-        // ExtMem::modify_block_pair: read i, read j, write i, write j.
-        let mut mem = ExtMem::with_trace(4);
-        let h = BlockStore::alloc_array(&mut mem, 8);
-        BlockStore::modify_pair(&mut mem, &h, 0, 1, |_, _| {});
-        let t1 = mem.take_trace().unwrap();
-        let mut mem2 = ExtMem::with_trace(4);
-        let h2 = mem2.alloc_array(8);
-        mem2.modify_block_pair(&h2, 0, 1, |_, _| {});
-        let t2 = mem2.take_trace().unwrap();
-        assert_eq!(t1, t2);
-    }
 }

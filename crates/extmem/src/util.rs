@@ -1,8 +1,9 @@
 //! Small numeric and hashing utilities shared across the workspace.
 //!
-//! The paper's randomized constructions need hash functions modelled as
-//! random oracles (for the invertible Bloom lookup table) and seeded
-//! randomness for sampling and shuffling. We implement a standard 64-bit
+//! The randomized constructions need hash functions modelled as random
+//! oracles (the bucket sort's bin assignment, the ORAM's bucket hashing, the
+//! keystream and MAC derivations) and seeded randomness for sampling and
+//! shuffling. We implement a standard 64-bit
 //! finalizer-style mixer (`splitmix64`) in-crate rather than pulling in an
 //! extra hashing dependency; its avalanche behaviour is more than adequate
 //! for the simulator-scale experiments here and keeps the dependency list to

@@ -19,12 +19,15 @@
 //!    size guaranteed to fit in the `M`-word private cache. Every level with
 //!    stride `s ≤ F/2` operates entirely inside aligned `F`-element regions,
 //!    so the tail of every merge (all levels with stride `< F`) is executed
-//!    by loading each region once, finishing the remaining compare-exchange
-//!    levels CPU-side ([`bitonic_merge_pow2_by`]), and writing the region
-//!    back: one read pass plus one write pass per stage instead of
-//!    `log F` block passes. The same trick presorts each `F`-region up
-//!    front ([`bitonic_sort_pow2_by`] in cache), replacing the first
-//!    `log F` stages — `O(log² F)` levels — with a single pass.
+//!    by loading each region once, sorting it CPU-side in the stage's
+//!    direction, and writing the region back: one read pass plus one write
+//!    pass per stage instead of `log F` block passes. The same trick
+//!    presorts each `F`-region up front, replacing the first `log F`
+//!    stages — `O(log² F)` levels — with a single pass. The adversary sees
+//!    the region's load and store, not the client's work in between, so the
+//!    in-cache step is `sort_unstable_by` rather than the network's
+//!    remaining levels; under the workspace's total cell orders it writes
+//!    back the same bytes (DESIGN.md, "In-cache steps").
 //! 2. **Stride batching.** An external level with block-aligned stride
 //!    (`B | s`) touches each block in exactly one block pair `(β, β + s/B)`.
 //!    All `B` element compare-exchanges that touch that pair are fused into
@@ -58,8 +61,6 @@
 //! versus **1,400,832** for the naive full-depth baseline — an **8.1×**
 //! reduction, against a bound of `4·(N/B)(1 + ⌈log2(N/M)⌉²) = 425,984`.
 
-use crate::bitonic::{bitonic_merge_pow2_by, bitonic_sort_pow2_by};
-use crate::compare::exchange_dir_by;
 use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
 use extmem::{
     ArrayHandle, BlockCache, BlockStore, CacheBudget, IoStats, RetryPolicy, RetryStats,
@@ -244,7 +245,7 @@ where
     // is the final ascending sort).
     for g in 0..p / f0 {
         in_cache_pass(store, a, &mut budget, g * f0, f0, |cells| {
-            bitonic_sort_pow2_by(cells, g % 2 == 0, cmp);
+            sort_region(cells, g % 2 == 0, cmp);
         })?;
     }
 
@@ -263,13 +264,35 @@ where
             let lo = g * f0;
             let asc = lo & k == 0;
             in_cache_pass(store, a, &mut budget, lo, f0, |cells| {
-                bitonic_merge_pow2_by(cells, asc, cmp);
+                sort_region(cells, asc, cmp);
             })?;
         }
         report.finish_passes += 1;
         k *= 2;
     }
     Ok(report)
+}
+
+/// Orders an owned pair for a directional comparator: returns the values in
+/// the order they belong at `(lower index, higher index)` — minimum first
+/// when `ascending`, maximum first otherwise.
+///
+/// This is the compare-exchange of the external levels (here and in the
+/// `baseline` crate's full-depth sort), which read cells out of blocks or
+/// caches and write both back unconditionally, so the server-visible access
+/// pattern never depends on whether the pair swapped.
+#[inline]
+pub fn exchange_dir_by<T, F>(u: T, v: T, ascending: bool, cmp: &F) -> (T, T)
+where
+    F: Fn(&T, &T) -> Ordering,
+{
+    let swap = cmp(&u, &v) == Ordering::Greater;
+    let (small, large) = if swap { (v, u) } else { (u, v) };
+    if ascending {
+        (small, large)
+    } else {
+        (large, small)
+    }
 }
 
 /// One external compare-exchange level: stride `s`, stage `k`.
@@ -348,6 +371,19 @@ where
         })?;
     }
     Ok(())
+}
+
+/// Sorts a cache-resident region in the given direction: the in-cache step
+/// of the presort and of every finishing merge (module docs, point 1).
+fn sort_region<F>(cells: &mut [Cell], ascending: bool, cmp: &F)
+where
+    F: Fn(&Cell, &Cell) -> Ordering,
+{
+    if ascending {
+        cells.sort_unstable_by(cmp);
+    } else {
+        cells.sort_unstable_by(|x, y| cmp(y, x));
+    }
 }
 
 /// Loads the aligned region `[lo, lo + f)` into the private cache, applies

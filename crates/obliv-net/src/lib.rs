@@ -1,15 +1,8 @@
-//! # odo-obliv-net — data-oblivious sorting and routing networks
+//! # odo-obliv-net — data-oblivious external-memory sorting and routing
 //!
-//! Deterministic data-oblivious building blocks used throughout the
-//! workspace:
+//! The workspace's two sort engines and the routing network they share
+//! with compaction:
 //!
-//! * [`compare`] — compare-exchange primitives, the only data-dependent
-//!   operation a sorting network performs (and it performs it with a fixed
-//!   access pattern).
-//! * [`network`] — explicit comparator-network representation plus
-//!   zero-one-principle exhaustive checking used by the test-suite.
-//! * [`bitonic`] — Batcher's bitonic sorter for power-of-two slices; its
-//!   stride structure is what the external-memory sort exploits.
 //! * [`butterfly`] — the butterfly-like routing network of the paper's
 //!   Section 3 (Figure 1), in its in-memory circuit form, plus an ASCII
 //!   renderer that regenerates Figure 1.
@@ -22,6 +15,11 @@
 //!   plus an `M/B`-way run merge, costing `O((N/B)·log_{M/B}(N/B))` I/Os —
 //!   beating the Lemma 2 squared log whenever `N ≫ M`.
 //!
+//! Both engines finish their cache-resident work with ordinary in-memory
+//! routines (`sort_unstable_by`, a counting partition, a heap merge): the
+//! adversary sees block addresses only, so what the server sees is fixed by
+//! the loads and stores around each in-cache step, not by how it computes.
+//!
 //! Everything except [`bucket_sort`] is deterministic: on any two inputs of
 //! the same size the sequence of element positions touched — and for the
 //! external sort, the sequence of block addresses — is identical. The bucket
@@ -31,14 +29,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitonic;
 pub mod bucket_sort;
 pub mod butterfly;
-pub mod compare;
 pub mod external_sort;
-pub mod network;
 
-pub use bitonic::{bitonic_merge_pow2_by, bitonic_network, bitonic_sort_pow2};
 pub use bucket_sort::{
     bucket_oblivious_sort, bucket_oblivious_sort_by, merge_split, try_bucket_oblivious_sort,
     BucketSortConfig, BucketSortError, BucketSortReport, MergeSplitOverflow,
@@ -47,7 +41,6 @@ pub use external_sort::{
     external_oblivious_sort, external_oblivious_sort_by, try_external_oblivious_sort, SortOrder,
     SortReport,
 };
-pub use network::{Comparator, Network};
 
 /// Announces the strictly sequential block-read schedule `[lo, hi)` of
 /// array `h` in one [`hint_blocks`](extmem::BlockStore::hint_blocks) call,

@@ -1,19 +1,22 @@
-//! Golden traces for the bucket oblivious sort.
+//! Golden traces for both sort engines.
 //!
-//! The bucket engine's in-cache routines (run formation, routing, the
-//! multi-way merge) are free to change as long as the server-visible block
+//! The engines' in-cache routines (the bucket engine's run formation,
+//! routing and multi-way merge; the Lemma 2 engine's region presort and
+//! finishing merges) are free to change as long as the server-visible block
 //! sequence does not. These tests pin the trace length, a trace digest and
-//! an output digest of direct [`bucket_oblivious_sort_by`] calls at fixed
-//! shapes, seeds and inputs, so any change to what the server sees, or to
-//! the sorted output under a total order, fails here.
+//! an output digest of direct [`bucket_oblivious_sort_by`] and
+//! [`external_oblivious_sort_by`] calls at fixed shapes, seeds and inputs,
+//! so any change to what the server sees, or to the sorted output under a
+//! total order, fails here.
 //!
 //! Never regenerate the constants to make a change pass: a mismatch means
 //! the change moved a block access or, under a total order, the output.
 
-use extmem::element::{cell_cmp_none_last, Cell};
+use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
 use extmem::util::hash64;
-use extmem::{AccessOp, AccessTrace, Element, ExtMem};
+use extmem::{AccessOp, AccessTrace, ArrayHandle, Element, ExtMem, IoStats};
 use obliv_net::bucket_sort::{bucket_oblivious_sort_by, BucketSortConfig, BucketSortReport};
+use obliv_net::external_sort::{external_oblivious_sort_by, SortReport};
 use std::cmp::Ordering;
 
 /// Order-sensitive digest of a trace: every `(op, address)` pair is folded
@@ -36,21 +39,22 @@ fn output_digest(cells: &[Cell]) -> u64 {
     })
 }
 
-struct Run {
+struct Run<R> {
     trace_len: usize,
     trace_digest: u64,
     output: Vec<Cell>,
-    report: BucketSortReport,
+    report: R,
 }
 
-fn run<F>(cells: &[Cell], b: usize, m: usize, seed: u64, cmp: &F) -> Run
-where
-    F: Fn(&Cell, &Cell) -> Ordering,
-{
+/// Runs `sort` on a traced in-memory copy of `cells` with block size `b`.
+fn traced<R>(
+    cells: &[Cell],
+    b: usize,
+    sort: impl FnOnce(&mut ExtMem, &ArrayHandle) -> R,
+) -> Run<R> {
     let mut mem = ExtMem::with_trace(b);
     let h = mem.alloc_array_from_cells(cells);
-    let report = bucket_oblivious_sort_by(&mut mem, &h, m, &BucketSortConfig::seeded(seed), cmp)
-        .expect("bucket sort failed");
+    let report = sort(&mut mem, &h);
     let trace = mem.take_trace().expect("trace was enabled");
     Run {
         trace_len: trace.len(),
@@ -58,6 +62,25 @@ where
         output: mem.snapshot_cells(&h),
         report,
     }
+}
+
+fn run<F>(cells: &[Cell], b: usize, m: usize, seed: u64, cmp: &F) -> Run<BucketSortReport>
+where
+    F: Fn(&Cell, &Cell) -> Ordering,
+{
+    traced(cells, b, |mem, h| {
+        bucket_oblivious_sort_by(mem, h, m, &BucketSortConfig::seeded(seed), cmp)
+            .expect("bucket sort failed")
+    })
+}
+
+fn run_lemma2<F>(cells: &[Cell], b: usize, m: usize, cmp: &F) -> Run<SortReport>
+where
+    F: Fn(&Cell, &Cell) -> Ordering,
+{
+    traced(cells, b, |mem, h| {
+        external_oblivious_sort_by(mem, h, m, cmp).expect("Lemma 2 sort failed")
+    })
 }
 
 /// Distinct random keys, every cell occupied.
@@ -78,7 +101,7 @@ fn dummies_and_duplicates(n: usize, salt: u64) -> Vec<Cell> {
 }
 
 /// Pinned `(trace length, trace digest, output digest)` of one golden case.
-fn check(name: &str, r: &Run, want: (usize, u64, u64)) {
+fn check<R>(name: &str, r: &Run<R>, want: (usize, u64, u64)) {
     let got = (r.trace_len, r.trace_digest, output_digest(&r.output));
     assert_eq!(
         got, want,
@@ -173,4 +196,95 @@ fn weak_comparator_trace_is_pinned_and_output_sorted() {
     want.sort_unstable();
     have.sort_unstable();
     assert_eq!(have, want, "output must be a permutation of the input");
+}
+
+/// The `SortReport` of a Lemma 2 run: `(reads, writes)`, then `F`, presort
+/// regions, external levels, finishing passes and whether it padded.
+fn lemma2_report(
+    (reads, writes): (u64, u64),
+    region_elems: usize,
+    presort_regions: usize,
+    external_levels: usize,
+    finish_passes: usize,
+    padded: bool,
+) -> SortReport {
+    SortReport {
+        io: IoStats { reads, writes },
+        region_elems,
+        presort_regions,
+        external_levels,
+        finish_passes,
+        padded,
+    }
+}
+
+#[test]
+fn lemma2_pow2_ascending_trace_and_output_are_pinned() {
+    let cells = dense(1 << 16, 0x1E2A);
+    let r = run_lemma2(&cells, 64, 1 << 12, &cell_cmp_none_last);
+    check(
+        "Lemma 2 (2^16, 64, 2^12)",
+        &r,
+        (30720, 0x6b7c_6957_fccd_083f, 0x374f_c062_3844_c53b),
+    );
+    assert_eq!(
+        r.report,
+        lemma2_report((15360, 15360), 4096, 16, 10, 4, false)
+    );
+}
+
+#[test]
+fn lemma2_padded_length_trace_and_output_are_pinned() {
+    let cells = dense(5000, 0x5001);
+    let r = run_lemma2(&cells, 16, 256, &cell_cmp_none_last);
+    check(
+        "Lemma 2 (5000, 16, 256) padded",
+        &r,
+        (22756, 0x3eca_5208_770b_602b, 0xfa0f_5bca_29a5_d42d),
+    );
+    assert_eq!(
+        r.report,
+        lemma2_report((11378, 11378), 256, 32, 15, 5, true)
+    );
+}
+
+#[test]
+fn lemma2_unaligned_block_trace_and_output_are_pinned() {
+    // B = 12 does not divide any power-of-two stride, so every external
+    // level takes the `BlockCache` sweep.
+    let cells = dense(1 << 12, 0xB12);
+    let r = run_lemma2(&cells, 12, 240, &cell_cmp_none_last);
+    check(
+        "Lemma 2 (2^12, 12, 240)",
+        &r,
+        (15048, 0x6655_2c69_35d5_5a3a, 0x068e_5d97_e7ed_06ce),
+    );
+    assert_eq!(r.report, lemma2_report((7653, 7395), 128, 32, 15, 5, false));
+}
+
+#[test]
+fn lemma2_descending_trace_and_output_are_pinned() {
+    let cells = dense(1 << 13, 0xDE5C);
+    let r = run_lemma2(&cells, 32, 512, &cell_cmp_none_last_desc);
+    check(
+        "Lemma 2 (2^13, 32, 512) descending",
+        &r,
+        (7680, 0x0397_ab8d_79f3_2315, 0xfd95_6182_9eb6_a2ce),
+    );
+    assert_eq!(r.report, lemma2_report((3840, 3840), 512, 16, 10, 4, false));
+}
+
+#[test]
+fn lemma2_dummies_and_duplicates_trace_and_output_are_pinned() {
+    let cells = dummies_and_duplicates(1 << 14, 0xD1D2);
+    let r = run_lemma2(&cells, 64, 1 << 10, &cell_cmp_none_last);
+    check(
+        "Lemma 2 (2^14, 64, 2^10) dummies+dups",
+        &r,
+        (7680, 0x0397_ab8d_79f3_2315, 0x5646_8b49_7fe3_a6f0),
+    );
+    assert_eq!(
+        r.report,
+        lemma2_report((3840, 3840), 1024, 16, 10, 4, false)
+    );
 }

@@ -146,18 +146,6 @@ pub fn try_compact<S: BlockStore>(
     Ok((report, retrying.stats()))
 }
 
-/// Alias of [`compact`] emphasizing the §3 guarantee: compaction through the
-/// butterfly network with stable distance labels is always
-/// *order-preserving* — the occupied cells appear in the prefix in their
-/// original relative order. The two entry points are interchangeable.
-pub fn compact_order_preserving<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-) -> CompactReport {
-    compact(store, h, cache_elems)
-}
-
 /// The reverse operation: array `h` holds `targets.len()` occupied cells as a
 /// prefix (dummies after), and item `i` of the prefix is routed right to cell
 /// `targets[i]`. `targets` must be strictly increasing with every target

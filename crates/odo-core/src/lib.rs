@@ -6,9 +6,9 @@
 //!
 //! * [`extmem`] — the machine model: [`ExtMem`], [`Config`], blocks, I/O
 //!   accounting, access traces and the obliviousness test utilities.
-//! * [`obliv_net`] — the sorting and routing networks, headlined by
-//!   [`external_oblivious_sort`], the paper's Lemma 2 deterministic external
-//!   oblivious sort.
+//! * [`obliv_net`] — the two external sort engines and the routing network,
+//!   headlined by [`external_oblivious_sort`], the paper's Lemma 2
+//!   deterministic external oblivious sort.
 //! * [`compact`] — the paper's §3 tight order-preserving compaction (and its
 //!   reverse, expansion) executed I/O-efficiently over any [`BlockStore`] in
 //!   `O((N/B)(1 + log(N/M)))` I/Os.
@@ -49,7 +49,7 @@ pub mod error;
 pub mod select;
 pub mod sorter;
 
-pub use compact::{compact_order_preserving, expand, try_compact, try_expand, CompactReport};
+pub use compact::{expand, try_compact, try_expand, CompactReport};
 pub use error::OdoError;
 pub use extmem::{
     AccessEvent, AccessOp, AccessTrace, ArenaStats, ArrayHandle, AuthClientState,
@@ -59,9 +59,9 @@ pub use extmem::{
     PrefetchingStore, RetryPolicy, RetryStats, StoreError,
 };
 pub use obliv_net::{
-    bitonic_sort_pow2, bucket_oblivious_sort, external_oblivious_sort, external_oblivious_sort_by,
+    bucket_oblivious_sort, external_oblivious_sort, external_oblivious_sort_by,
     try_bucket_oblivious_sort, try_external_oblivious_sort, BucketSortConfig, BucketSortError,
-    BucketSortReport, Comparator, Network, SortOrder, SortReport,
+    BucketSortReport, SortOrder, SortReport,
 };
 pub use select::{
     quantiles, quantiles_with, select_kth, select_kth_with, try_select_kth, SelectReport,
@@ -71,9 +71,7 @@ pub use sorter::{OblivSorter, SortEngine, SorterReport};
 
 /// Everything a typical caller needs, importable with one `use`.
 pub mod prelude {
-    pub use crate::compact::{
-        compact, compact_order_preserving, expand, try_compact, try_expand, CompactReport,
-    };
+    pub use crate::compact::{compact, expand, try_compact, try_expand, CompactReport};
     pub use crate::error::OdoError;
     pub use crate::select::{
         quantiles, quantiles_with, select_kth, select_kth_with, try_select_kth, SelectReport,
